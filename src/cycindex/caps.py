@@ -30,11 +30,14 @@ _ENV_NAMES = {
 
 
 def caps_from_env(base: Caps | None = None) -> Caps:
+    """Caps overridden by the CYCINDEX_*_CAP variables; ValueError if one is malformed."""
     caps = base or Caps()
     overrides = {}
     for field_name, env_name in _ENV_NAMES.items():
         raw = os.environ.get(env_name)
         if raw is not None:
+            if not raw.strip().isdecimal():
+                raise ValueError(f"{env_name} must be a nonnegative integer, got {raw!r}")
             overrides[field_name] = int(raw)
     return caps.with_overrides(**overrides)
 

@@ -208,6 +208,18 @@ def _run_plethysm(spec: JobSpec, group_spec: GroupSpec,
     return (EXIT_OK if equal else EXIT_MISMATCH), "\n".join(lines) + "\n"
 
 
+def _catalog_job_problem(job: dict) -> str | None:
+    """What is wrong with the fields of one catalog job, or None."""
+    if not isinstance(job.get("command"), str):
+        return "without a command"
+    if "n" in job and (type(job["n"]) is not int or job["n"] < 0):
+        return "with n not a nonnegative integer"
+    for key in ("group", "char", "group2", "char2"):
+        if key in job and not isinstance(job[key], str):
+            return f"with {key} not a string"
+    return None
+
+
 def run_suite(jobs: list[dict], caps: Caps, fmt: str = "text",
               workers: int = 1) -> tuple[int, str]:
     """Run every catalog job; aggregate failures, outputs in catalog order."""
@@ -215,8 +227,9 @@ def run_suite(jobs: list[dict], caps: Caps, fmt: str = "text",
         return EXIT_USAGE, "usage error: the catalog is empty\n"
     specs = []
     for job in jobs:
-        if not isinstance(job.get("command"), str):
-            return EXIT_USAGE, f"usage error: catalog job without a command: {job!r}\n"
+        problem = _catalog_job_problem(job)
+        if problem is not None:
+            return EXIT_USAGE, f"usage error: catalog job {problem}: {job!r}\n"
         specs.append(JobSpec(
             command=job["command"],
             group_expr=job.get("group", ""),
@@ -297,7 +310,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    caps = caps_from_env()
+    try:
+        caps = caps_from_env()
+    except ValueError as exc:
+        sys.stdout.write(f"usage error: {exc}\n")
+        return EXIT_USAGE
     if args.cap is not None:
         caps = caps.with_overrides(orbit_work=args.cap)
     if args.command == "suite":

@@ -1,12 +1,15 @@
-"""Exact arithmetic in cyclotomic fields Q(zeta_m).
+"""Exact arithmetic in cyclotomic fields Q(zeta_m) and their integers Z[zeta_m].
 
 Values are kept in canonical form modulo the m-th cyclotomic polynomial, in the
 power basis 1, zeta, ..., zeta^(phi(m)-1).  Rational values are demoted to
 conductor 1, so the common all-rational case runs on plain Fractions.
+``CyclotomicIntegers`` holds elements of Z[zeta_m] at a fixed m as bare integer
+coefficients in the same basis, for loops that never need a denominator.
 """
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
@@ -245,13 +248,76 @@ def _coerce(value) -> "Cyclotomic":
     return NotImplemented
 
 
-def cyc_add(a: Cyclotomic, b) -> Cyclotomic:
-    return a + b
+class CyclotomicIntegers:
+    """The ring Z[zeta_m], for exact integer arithmetic in hot loops.
 
+    An element is a tuple of phi(m) ints in the power basis modulo Phi_m, the
+    basis ``Cyclotomic`` uses, or a plain int when phi(m) = 1 (m = 1 or 2).
+    The power basis is a basis, so equal elements have equal representations.
+    ``add``, ``sub``, ``mul``, ``scale`` (by an int) and ``nonzero`` are plain
+    functions, so loops can bind them to locals.
+    """
 
-def cyc_mul(a: Cyclotomic, b) -> Cyclotomic:
-    return a * b
+    def __init__(self, m: int):
+        phi = cyclotomic_polynomial(m)
+        deg = len(phi) - 1
+        self.m = m
+        self.degree = deg
+        # powers[k] = zeta_m^k: multiply by zeta, then reduce with the monic Phi_m
+        powers = [[1] + [0] * (deg - 1)]
+        for _ in range(m - 1):
+            prev = powers[-1]
+            top = prev[-1]
+            powers.append([c - top * phi[t] for t, c in enumerate([0] + prev[:-1])])
+        if deg == 1:
+            self.powers = tuple(p[0] for p in powers)
+            self.zero = 0
+            self.add, self.sub, self.mul = operator.add, operator.sub, operator.mul
+            self.scale = operator.mul
+            self.nonzero = bool
+            return
+        self.powers = tuple(tuple(p) for p in powers)
+        self.zero = (0,) * deg
+        self.nonzero = any
+        high = [self.powers[j % m] for j in range(deg, 2 * deg - 1)]
 
+        def add(a, b):
+            return tuple(map(operator.add, a, b))
 
-def cyc_scale(a: Cyclotomic, q: Rational) -> Cyclotomic:
-    return a * Fraction(q)
+        def sub(a, b):
+            return tuple(map(operator.sub, a, b))
+
+        def mul(a, b):
+            prod = [0] * (2 * deg - 1)
+            for i, x in enumerate(a):
+                if x:
+                    for j, y in enumerate(b):
+                        prod[i + j] += x * y
+            out = prod[:deg]
+            for c, power in zip(prod[deg:], high):
+                if c:
+                    for t, w in enumerate(power):
+                        out[t] += c * w
+            return tuple(out)
+
+        def scale(a, k):
+            return tuple(k * x for x in a)
+
+        self.add, self.sub, self.mul, self.scale = add, sub, mul, scale
+
+    @property
+    def one(self):
+        return self.powers[0]
+
+    def root(self, k: int):
+        """zeta_m^k."""
+        return self.powers[k % self.m]
+
+    def to_cyclotomic(self, a, denominator: int = 1) -> Cyclotomic:
+        """The element a / denominator of Q(zeta_m)."""
+        coeffs = (a,) if self.degree == 1 else a
+        total = Cyclotomic.zero()
+        for j, c in enumerate(coeffs):
+            if c:
+                total = total + Cyclotomic.root_of_unity(self.m, j) * Fraction(c, denominator)
+        return total

@@ -25,7 +25,7 @@ def apply_perm(sigma: Permutation, point: Point) -> Point:
     return tuple(point[inv[s] - 1] for s in range(len(point)))
 
 
-def _action_table(W: PermGroup) -> list[tuple[int, ...]]:
+def action_table(W: PermGroup) -> list[tuple[int, ...]]:
     """For each group element, the 0-based source position for each target position."""
     return [tuple(i - 1 for i in g.inverse().images) for g in W.elements]
 
@@ -57,7 +57,7 @@ def enumerate_orbits(W: PermGroup, n: int, caps: Caps = DEFAULT_CAPS) -> OrbitTa
     if npoints * W.order > caps.orbit_work:
         raise CapExceeded(
             f"(n+1)^d * |W| = {npoints * W.order} exceeds work cap {caps.orbit_work}")
-    table = _action_table(W)
+    table = action_table(W)
     radix = n + 1
     visited = bytearray(npoints)
     records = []

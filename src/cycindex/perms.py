@@ -59,7 +59,7 @@ class Permutation:
         return out
 
     def order(self) -> int:
-        return lcm(*(len(c) for c in self.cycles())) if self.cycles() else 1
+        return lcm(*map(len, self.cycles()))
 
     def cycle_string(self) -> str:
         cycs = self.cycles()
@@ -261,12 +261,7 @@ def named_group(kind: str, d: int, caps: Caps = DEFAULT_CAPS) -> PermGroup:
         if d >= 3:
             gens.append(Permutation(tuple(list(range(2, d + 1)) + [1])))
     elif kind == "alternating":
-        if d < 3:
-            if d > 2:
-                raise ValueError(f"unsupported degree {d}")
-            gens = []
-        else:
-            gens = [perm_from_cycles(f"(1 2 {k})", d) for k in range(3, d + 1)]
+        gens = [perm_from_cycles(f"(1 2 {k})", d) for k in range(3, d + 1)]
     elif kind == "cyclic":
         gens = [] if d == 1 else [Permutation(tuple(list(range(2, d + 1)) + [1]))]
     else:  # dihedral

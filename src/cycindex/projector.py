@@ -1,33 +1,43 @@
 """Exact verification of the averaging projector on monomial modules.
 
 The module basis is indexed by the points of [0,n]^d; the group acts by
-permuting points, twisted by an optional cocycle family gamma.  Matrices are
-kept as sparse columns of cyclotomic entries; rank uses division-free exact
-elimination (rows are rescaled by pivots, which preserves rank over a field).
+permuting points, twisted by an optional cocycle family gamma.  The character
+alpha and gamma are carried as exponents of roots of unity, so every entry of
+|G| a_alpha is a sum of powers of zeta_m with m = lcm(order of alpha, order of
+gamma): an element of Z[zeta_m].  Matrices are kept as sparse columns of such
+integer entries (``CyclotomicIntegers``) over the common denominator |G|, and
+all checks run on integer additions and multiplications; values become
+``Cyclotomic`` only when they leave the module (``entry``, ``trace``).  Rank
+uses division-free exact elimination (columns are rescaled by pivots, which
+preserves rank over the field of fractions).
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import product as iter_product
+from math import lcm
 
 from .caps import Caps, CapExceeded, DEFAULT_CAPS
 from .characters import LinearCharacter, enumerate_linear_characters
-from .cyclo import Cyclotomic
-from .orbits import apply_perm
-from .perms import PermGroup, Permutation, compose
+from .cyclo import Cyclotomic, CyclotomicIntegers
+from .orbits import action_table
+from .perms import PermGroup, compose
 
-Column = dict[int, Cyclotomic]
+Column = dict[int, object]  # row -> nonzero element of a CyclotomicIntegers ring
 
 
 class MonomialModule:
-    """Basis v_i over the points i of [0,n]^d with the twisted permutation action."""
+    """Basis v_i over the points i of [0,n]^d with the twisted permutation action.
+
+    ``gamma`` maps (group element index, point index) to k, meaning that
+    gamma_i(g) = zeta_{gamma_order}^k; None is the trivial family.
+    """
 
     def __init__(self, group: PermGroup, n: int,
-                 gamma: dict[tuple[int, int], Cyclotomic] | None = None,
-                 caps: Caps = DEFAULT_CAPS):
+                 gamma: dict[tuple[int, int], int] | None = None,
+                 gamma_order: int = 1, caps: Caps = DEFAULT_CAPS):
         self.group = group
         self.n = n
         self.d = group.degree
@@ -37,68 +47,65 @@ class MonomialModule:
         self.points = list(iter_product(range(n + 1), repeat=self.d))
         self._point_index = {p: i for i, p in enumerate(self.points)}
         self.gamma = gamma
+        self.gamma_order = gamma_order
         # point_map[g][i] = index of g . point_i
-        self.point_map = [
-            [self._point_index[apply_perm(g, p)] for p in self.points]
-            for g in group.elements
-        ]
-        if gamma is not None:
+        index = self._point_index
+        self.point_map = [[index[tuple(map(p.__getitem__, src))] for p in self.points]
+                          for src in action_table(group)]
+        # gamma_exp[g][i] = exponent of gamma_i(g)
+        if gamma is None:
+            self.gamma_exp = [(0,) * self.dim] * group.order
+        else:
+            self.gamma_exp = [tuple(gamma[(gi, i)] % gamma_order for i in range(self.dim))
+                              for gi in range(group.order)]
             self.validate_cocycle()
         self.validate_representation()
 
     def index(self, point) -> int:
         return self._point_index[tuple(point)]
 
-    def gamma_value(self, gi: int, i: int) -> Cyclotomic:
-        if self.gamma is None:
-            return Cyclotomic.one()
-        return self.gamma[(gi, i)]
-
-    def matrix(self, g: Permutation) -> "SparseMatrix":
-        """The action of g: column i has the single entry gamma_i(g) at row g.i."""
-        gi = self.group.index(g)
-        cols: list[Column] = []
-        for i in range(self.dim):
-            cols.append({self.point_map[gi][i]: self.gamma_value(gi, i)})
-        return SparseMatrix(self.dim, cols)
+    def _check_law(self, a: int, b: int, ab: int) -> bool:
+        """g_a g_b = g_ab on every point, with gamma_i(g_a g_b) = gamma_{g_b.i}(g_a) gamma_i(g_b)."""
+        pa, pb, pab = self.point_map[a], self.point_map[b], self.point_map[ab]
+        ga, gb, gab = self.gamma_exp[a], self.gamma_exp[b], self.gamma_exp[ab]
+        L = self.gamma_order
+        for i, j in enumerate(pb):
+            if pa[j] != pab[i] or (gab[i] - ga[j] - gb[i]) % L:
+                return False
+        return True
 
     def validate_cocycle(self) -> None:
         """gamma_i(gh) = gamma_{h.i}(g) gamma_i(h) for all g, h, i (exhaustive)."""
         G = self.group
         for a, g in enumerate(G.elements):
             for b, h in enumerate(G.elements):
-                gh = G.index(compose(g, h))
-                for i in range(self.dim):
-                    hi = self.point_map[b][i]
-                    if self.gamma_value(gh, i) != self.gamma_value(a, hi) * self.gamma_value(b, i):
-                        raise ValueError(f"cocycle law fails at (g={g!r}, h={h!r}, i={i})")
+                if not self._check_law(a, b, G.index(compose(g, h))):
+                    raise ValueError(f"cocycle law fails at (g={g!r}, h={h!r})")
 
     def validate_representation(self) -> None:
-        """matrix(g) matrix(h) = matrix(gh) on the group generators."""
-        for g in self.group.generators:
-            for h in self.group.generators:
-                lhs = self.matrix(g).matmul(self.matrix(h))
-                if lhs != self.matrix(compose(g, h)):
-                    raise ValueError(f"monomial action is not a representation at ({g!r}, {h!r})")
+        """The monomial action of g h is that of g after h, on the group generators."""
+        G = self.group
+        for g in G.generators:
+            for h in G.generators:
+                if not self._check_law(G.index(g), G.index(h), G.index(compose(g, h))):
+                    raise ValueError(
+                        f"monomial action is not a representation at ({g!r}, {h!r})")
+
+    def twist(self, alpha: LinearCharacter) -> tuple[CyclotomicIntegers, list[list[int]]]:
+        """Z[zeta_m] holding alpha and gamma, and k[g][i] with alpha(g) gamma_i(g) = zeta_m^k."""
+        m = lcm(alpha.order_m, self.gamma_order)
+        sa, sg = m // alpha.order_m, m // self.gamma_order
+        weights = []
+        for g, gam in zip(self.group.elements, self.gamma_exp):
+            e = alpha.exponent(g) * sa
+            weights.append([(e + k * sg) % m for k in gam])
+        return CyclotomicIntegers(m), weights
 
     def qualifying_indices(self, alpha: LinearCharacter) -> list[int]:
         """I(M, alpha): points whose stabilizer satisfies gamma_i = alpha^-1."""
-        out = []
-        trivial_gamma = self.gamma is None
-        for i in range(self.dim):
-            ok = True
-            for gi, g in enumerate(self.group.elements):
-                if self.point_map[gi][i] == i:
-                    if trivial_gamma:
-                        if alpha.exponent(g) != 0:
-                            ok = False
-                            break
-                    elif self.gamma_value(gi, i) * alpha.value(g) != Cyclotomic.one():
-                        ok = False
-                        break
-            if ok:
-                out.append(i)
-        return out
+        _, weights = self.twist(alpha)
+        return [i for i in range(self.dim)
+                if not any(w[i] for pm, w in zip(self.point_map, weights) if pm[i] == i)]
 
     def orbit_transversal(self) -> tuple[list[int], dict[int, int], dict[int, int]]:
         """Lex-min orbit reps, a rep index per point, and a transversal element per point."""
@@ -118,67 +125,80 @@ class MonomialModule:
 
 
 class SparseMatrix:
-    """Square matrix stored as sparse columns."""
+    """Square matrix over Q(zeta_m): sparse columns over Z[zeta_m] and one denominator.
 
-    def __init__(self, dim: int, cols: list[Column]):
+    Column entries are elements of ``ring``; the matrix is cols / denominator.
+    Matrices that are multiplied or compared share the same ring.
+    """
+
+    def __init__(self, dim: int, ring: CyclotomicIntegers, cols: list[Column],
+                 denominator: int = 1):
         self.dim = dim
-        self.cols = [{r: v for r, v in col.items() if v} for col in cols]
+        self.ring = ring
+        self.denominator = denominator
+        nonzero = ring.nonzero
+        self.cols = [{r: v for r, v in col.items() if nonzero(v)} for col in cols]
 
     @property
     def nnz(self) -> int:
         return sum(len(c) for c in self.cols)
 
     def entry(self, row: int, col: int) -> Cyclotomic:
-        return self.cols[col].get(row, Cyclotomic.zero())
+        ring = self.ring
+        return ring.to_cyclotomic(self.cols[col].get(row, ring.zero), self.denominator)
 
     def trace(self) -> Cyclotomic:
-        total = Cyclotomic.zero()
+        ring = self.ring
+        total = ring.zero
         for i, col in enumerate(self.cols):
             v = col.get(i)
             if v is not None:
-                total = total + v
-        return total
+                total = ring.add(total, v)
+        return ring.to_cyclotomic(total, self.denominator)
 
     def apply(self, vector: Column) -> Column:
+        """cols times the vector, without the denominator."""
+        add, mul = self.ring.add, self.ring.mul
         out: Column = {}
         for col_idx, coeff in vector.items():
             for row, value in self.cols[col_idx].items():
-                add = coeff * value
                 prev = out.get(row)
-                new = add if prev is None else prev + add
-                if new:
-                    out[row] = new
-                elif prev is not None:
-                    del out[row]
-        return out
+                term = mul(coeff, value)
+                out[row] = term if prev is None else add(prev, term)
+        nonzero = self.ring.nonzero
+        return {r: v for r, v in out.items() if nonzero(v)}
 
     def matmul(self, other: "SparseMatrix") -> "SparseMatrix":
-        return SparseMatrix(self.dim, [self.apply(col) for col in other.cols])
+        return SparseMatrix(self.dim, self.ring, [self.apply(col) for col in other.cols],
+                            self.denominator * other.denominator)
 
     def __eq__(self, other):
         if not isinstance(other, SparseMatrix):
             return NotImplemented
         if self.dim != other.dim:
             return False
+        # a / s = b / t  <=>  a t = b s
+        scale, s, t = self.ring.scale, self.denominator, other.denominator
         for a, b in zip(self.cols, other.cols):
             if a.keys() != b.keys():
                 return False
-            if any(a[r] != b[r] for r in a):
+            if any(scale(a[r], t) != scale(b[r], s) for r in a):
                 return False
         return True
 
     __hash__ = None
 
     def rank(self) -> int:
-        return rank_of_columns(self.cols)
+        return rank_of_columns(self.cols, self.ring)
 
 
-def rank_of_columns(columns: list[Column]) -> int:
+def rank_of_columns(columns: list[Column], ring: CyclotomicIntegers) -> int:
     """Exact rank by division-free elimination; pivot on the first nonzero row."""
+    mul, sub, nonzero = ring.mul, ring.sub, ring.nonzero
     pivots: dict[int, Column] = {}  # pivot row -> reduced column
     rank = 0
     for col in columns:
-        work = dict(col)
+        work = col
         while work:
             lead = min(work)
             pivot = pivots.get(lead)
@@ -188,40 +208,26 @@ def rank_of_columns(columns: list[Column]) -> int:
                 break
             # work <- pivot[lead] * work - work[lead] * pivot
             scale_w, scale_p = pivot[lead], work[lead]
-            merged: Column = {}
-            for r, v in work.items():
-                merged[r] = scale_w * v
+            merged: Column = {r: mul(scale_w, v) for r, v in work.items()}
             for r, v in pivot.items():
-                sub = scale_p * v
-                prev = merged.get(r)
-                new = -sub if prev is None else prev - sub
-                if new:
-                    merged[r] = new
-                elif prev is not None:
-                    del merged[r]
-            work = merged
+                merged[r] = sub(merged.get(r, ring.zero), mul(scale_p, v))
+            work = {r: v for r, v in merged.items() if nonzero(v)}
     return rank
 
 
 def build_projector(M: MonomialModule, alpha: LinearCharacter) -> SparseMatrix:
-    """a_alpha = |G|^-1 sum over g of alpha(g) g, as a matrix in the v_i basis."""
-    G = M.group
-    scale = Fraction(1, G.order)
+    """a_alpha = |G|^-1 sum over g of alpha(g) g, as a matrix in the v_i basis.
+
+    The columns hold |G| a_alpha, whose entries are sums of roots of unity.
+    """
+    ring, weights = M.twist(alpha)
+    add, roots = ring.add, ring.powers
     cols: list[Column] = [{} for _ in range(M.dim)]
-    for gi, g in enumerate(G.elements):
-        weight = alpha.value(g) * scale
-        pm = M.point_map[gi]
-        for i in range(M.dim):
-            row = pm[i]
-            add = weight * M.gamma_value(gi, i)
-            col = cols[i]
+    for pm, w in zip(M.point_map, weights):
+        for col, row, k in zip(cols, pm, w):
             prev = col.get(row)
-            new = add if prev is None else prev + add
-            if new:
-                col[row] = new
-            elif prev is not None:
-                del col[row]
-    return SparseMatrix(M.dim, cols)
+            col[row] = roots[k] if prev is None else add(prev, roots[k])
+    return SparseMatrix(M.dim, ring, cols, M.group.order)
 
 
 def check_idempotent(A: SparseMatrix) -> bool:
@@ -234,7 +240,9 @@ def check_annihilation(M: MonomialModule, alpha: LinearCharacter,
 
     The intertwining relation is checked on generators, which extends to the
     whole group multiplicatively; it makes every difference alpha^-1(g) z - g z
-    a kernel element.
+    a kernel element.  Column i of a_alpha g is gamma_i(g) times column g.i of
+    a_alpha, so the relation reads alpha(g) gamma_i(g) A[:, g.i] = A[:, i],
+    compared entry by entry.
     """
     if A is None:
         A = build_projector(M, alpha)
@@ -242,16 +250,13 @@ def check_annihilation(M: MonomialModule, alpha: LinearCharacter,
     for i in range(M.dim):
         if i not in qualifying and A.cols[i]:
             return False
+    ring, weights = M.twist(alpha)
+    mul = ring.mul
     for g in M.group.generators:
         gi = M.group.index(g)
-        inv_value = alpha.inverse_value(g)
-        for i in range(M.dim):
-            twisted = {r: M.gamma_value(gi, i) * v
-                       for r, v in A.cols[M.point_map[gi][i]].items()}
-            expected = {r: inv_value * v for r, v in A.cols[i].items()}
-            if twisted.keys() != expected.keys():
-                return False
-            if any(twisted[r] != expected[r] for r in twisted):
+        for i, (j, k) in enumerate(zip(M.point_map[gi], weights[gi])):
+            root = ring.root(k)
+            if {r: mul(root, v) for r, v in A.cols[j].items()} != A.cols[i]:
                 return False
     return True
 
@@ -262,7 +267,7 @@ class BasisReport:
     n: int
     d: int
     dim: int
-    trace: Fraction
+    trace: Cyclotomic
     rank: int
     J_size: int
     idempotent: bool
@@ -277,7 +282,7 @@ class BasisReport:
             "n": self.n,
             "d": self.d,
             "dim": self.dim,
-            "trace": {"num": str(self.trace.numerator), "den": str(self.trace.denominator)},
+            "trace": self.trace.to_json(),
             "rank": self.rank,
             "J_size": self.J_size,
             "idempotent": self.idempotent,
@@ -289,11 +294,15 @@ class BasisReport:
 
 
 def verify_basis_prop(M: MonomialModule, alpha: LinearCharacter) -> BasisReport:
-    """Rank, trace, |J| and the basis statements for the projector a_alpha."""
+    """Rank, trace, |J| and the basis statements for the projector a_alpha.
+
+    A trace that is not rational (alpha is not a homomorphism) fails the
+    trace = |J| statement like any other wrong trace.
+    """
     A = build_projector(M, alpha)
     idempotent = check_idempotent(A)
     annihilation_ok = check_annihilation(M, alpha, A=A)
-    trace = A.trace().as_rational()
+    trace = A.trace()
     rank = A.rank()
 
     qualifying = set(M.qualifying_indices(alpha))
@@ -301,29 +310,29 @@ def verify_basis_prop(M: MonomialModule, alpha: LinearCharacter) -> BasisReport:
     J = [i for i in reps if i in qualifying]
     J0 = [i for i in reps if i not in qualifying]
 
+    ring = A.ring
     image_cols = [A.cols[j] for j in J]
-    independent = rank_of_columns(image_cols) == len(J)
+    independent = rank_of_columns(image_cols, ring) == len(J)
 
     # families (1.2.4) and (1.2.5): differences along the transversal plus the
     # excluded representatives; they must lie in ker a_alpha and span dim - |J|
+    _, weights = M.twist(alpha)
     kernel_cols: list[Column] = []
     kernel_ok = True
     for i in range(M.dim):
         rep = rep_of[i]
         if i == rep:
             continue
-        gi = via[i]
-        g = M.group.elements[gi]
-        factor = alpha.value(g) * M.gamma_value(gi, rep)
-        kernel_cols.append({rep: Cyclotomic.one(), i: -factor})
+        factor = ring.root(weights[via[i]][rep])
+        kernel_cols.append({rep: ring.one, i: ring.scale(factor, -1)})
     for i in J0:
-        kernel_cols.append({i: Cyclotomic.one()})
+        kernel_cols.append({i: ring.one})
     for vec in kernel_cols:
         if A.apply(vec):
             kernel_ok = False
             break
     if kernel_ok:
-        kernel_ok = rank_of_columns(kernel_cols) == M.dim - len(J)
+        kernel_ok = rank_of_columns(kernel_cols, ring) == M.dim - len(J)
 
     ok = (idempotent and annihilation_ok and independent and kernel_ok
           and rank == len(J) and trace == len(J))
@@ -339,16 +348,17 @@ def random_gamma_family(W: PermGroup, n: int, seed: int,
                         caps: Caps = DEFAULT_CAPS) -> MonomialModule:
     """A valid random cocycle family, built orbit by orbit.
 
-    Each orbit gets arbitrary root-of-unity values on a transversal and a
+    Each orbit gets arbitrary 12th roots of unity on a transversal and a
     linear character of the representative's stabilizer; transporting them
     through the orbit satisfies the cocycle law by construction (the law is
-    still validated exhaustively when the module is assembled).
+    still validated exhaustively when the module is assembled).  Values are
+    emitted as exponents of zeta_L, L = lcm(12, orders of the chosen characters).
     """
     rng = random.Random(seed)
     base = MonomialModule(W, n, caps=caps)
     transversal_order = 12
-    gamma: dict[tuple[int, int], Cyclotomic] = {}
     reps, rep_of, via = base.orbit_transversal()
+    choices = []
     for rep in reps:
         members = [i for i in range(base.dim) if rep_of[i] == rep]
         stab_elems = [g for gi, g in enumerate(W.elements)
@@ -358,6 +368,11 @@ def random_gamma_family(W: PermGroup, n: int, seed: int,
         lam = stab_chars[rng.randrange(len(stab_chars))]
         u_exp = {i: (0 if i == rep else rng.randrange(transversal_order))
                  for i in members}
+        choices.append((rep, members, lam, u_exp))
+    order = lcm(transversal_order, *(lam.order_m for _, _, lam, _ in choices))
+    gamma: dict[tuple[int, int], int] = {}
+    for rep, members, lam, u_exp in choices:
+        su, sl = order // transversal_order, order // lam.order_m
         for i in members:
             g_i = W.elements[via[i]]
             for gj, g in enumerate(W.elements):
@@ -366,8 +381,6 @@ def random_gamma_family(W: PermGroup, n: int, seed: int,
                 inner = compose(compose(g_t.inverse(), g), g_i)
                 if base.point_map[W.index(inner)][rep] != rep:
                     raise AssertionError("transversal transport left the stabilizer")
-                value = (Cyclotomic.root_of_unity(transversal_order,
-                                                  u_exp[target] - u_exp[i])
-                         * lam.value(inner))
-                gamma[(gj, i)] = value
-    return MonomialModule(W, n, gamma=gamma, caps=caps)
+                gamma[(gj, i)] = ((u_exp[target] - u_exp[i]) * su
+                                  + lam.exponent(inner) * sl) % order
+    return MonomialModule(W, n, gamma=gamma, gamma_order=order, caps=caps)

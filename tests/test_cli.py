@@ -179,6 +179,23 @@ class TestSuite:
         parallel = run_suite(jobs, caps_from_env(), workers=4)
         assert serial == parallel
 
+    @pytest.mark.parametrize("bad", [
+        {"command": "verify", "group": "S(3)", "n": "2"},
+        {"command": "verify", "group": "S(3)", "n": True},
+        {"command": "verify", "group": "S(3)", "n": -1},
+        {"command": "verify", "group": "S(3)", "n": None},
+        {"command": "verify", "group": 3, "n": 1},
+        {"command": "verify", "group": "S(3)", "char": ["sign"], "n": 1},
+        {"command": "verify-product", "group": "S(2)", "group2": None},
+        {"command": "verify-product", "group": "S(2)", "group2": "S(2)", "char2": 1},
+    ])
+    def test_malformed_job_stops_the_suite_before_any_job(self, bad):
+        from cycindex.caps import caps_from_env
+        jobs = [{"command": "verify", "group": "S(3)", "char": "sign", "n": 1}, bad]
+        code, out = run_suite(jobs, caps_from_env())
+        assert code == EXIT_USAGE
+        assert out.startswith("usage error: catalog job") and out.count("\n") == 1
+
     def test_load_catalog(self, tmp_path):
         path = tmp_path / "catalog.json"
         path.write_text(json.dumps([
@@ -203,6 +220,30 @@ class TestMain:
         code = main(["suite", "--catalog", "/nonexistent/catalog.json"])
         assert code == EXIT_USAGE
         assert "usage error" in capsys.readouterr().out
+
+    def test_malformed_catalog_field_is_usage_error(self, capsys, tmp_path):
+        path = tmp_path / "catalog.json"
+        path.write_text('[{"command": "verify", "group": "S(3)", "n": "2"}]')
+        code = main(["suite", "--catalog", str(path)])
+        out = capsys.readouterr().out
+        assert code == EXIT_USAGE
+        assert out.startswith("usage error:") and out.count("\n") == 1
+
+    @pytest.mark.parametrize("name,value", [
+        ("CYCINDEX_GROUP_CAP", "abc"), ("CYCINDEX_WORK_CAP", "-5"),
+        ("CYCINDEX_DIM_CAP", "1.5"), ("CYCINDEX_TERM_CAP", ""),
+    ])
+    def test_malformed_cap_variable_is_usage_error(self, capsys, monkeypatch,
+                                                   name, value):
+        monkeypatch.setenv(name, value)
+        code = main(["characters", "--group", "S(3)"])
+        out = capsys.readouterr().out
+        assert code == EXIT_USAGE
+        assert out.startswith("usage error:") and name in out and out.count("\n") == 1
+
+    def test_cap_variable_is_read(self, capsys, monkeypatch):
+        monkeypatch.setenv("CYCINDEX_GROUP_CAP", " 5 ")
+        assert main(["characters", "--group", "S(3)"]) == EXIT_CAP
 
     def test_cap_flag(self, capsys):
         code = main(["orbits", "--group", "S(4)", "--n", "3", "--cap", "10"])

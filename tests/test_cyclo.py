@@ -5,6 +5,7 @@ import sympy
 from hypothesis import given, strategies as st
 
 from cycindex import Cyclotomic, cyclotomic_polynomial, euler_phi
+from cycindex.cyclo import CyclotomicIntegers
 
 
 def sympy_cyclotomic(m):
@@ -90,6 +91,33 @@ class TestArithmetic:
     def test_roots_multiply_by_exponent_addition(self, m, j, k):
         assert (Cyclotomic.root_of_unity(m, j) * Cyclotomic.root_of_unity(m, k)
                 == Cyclotomic.root_of_unity(m, j + k))
+
+
+class TestCyclotomicIntegers:
+    elements = st.lists(st.integers(-3, 3), min_size=24, max_size=24)
+
+    @given(st.integers(1, 24), elements, elements)
+    def test_ring_operations_match_cyclotomic(self, m, xs, ys):
+        R = CyclotomicIntegers(m)
+        a, b = R.zero, R.zero
+        for k in range(m):  # sum of c_k zeta^k, reduced by the ring itself
+            a = R.add(a, R.scale(R.root(k), xs[k]))
+            b = R.add(b, R.scale(R.root(k), ys[k]))
+        ca, cb = R.to_cyclotomic(a), R.to_cyclotomic(b)
+        assert ca == sum((Cyclotomic.root_of_unity(m, k) * xs[k] for k in range(m)),
+                         Cyclotomic.zero())
+        assert R.to_cyclotomic(R.mul(a, b)) == ca * cb
+        assert R.to_cyclotomic(R.sub(a, b)) == ca - cb
+        assert R.nonzero(a) == (not ca.is_zero())
+        assert R.to_cyclotomic(a, 6) == ca * Fraction(1, 6)
+
+    def test_sum_of_all_roots_is_zero(self):
+        for m in range(2, 25):
+            R = CyclotomicIntegers(m)
+            total = R.zero
+            for k in range(m):
+                total = R.add(total, R.root(k))
+            assert not R.nonzero(total) and total == R.zero
 
 
 class TestRendering:

@@ -8,6 +8,9 @@ from cycindex import (Cyclotomic, MonomialModule, build_projector,
                       index_set_J, named_group, random_gamma_family,
                       sign_character, unit_character, verify_basis_prop)
 from cycindex.caps import CapExceeded, Caps
+from cycindex.cli import _tampered
+from cycindex.cyclo import CyclotomicIntegers
+from cycindex.orbits import apply_perm
 from cycindex.projector import rank_of_columns
 
 
@@ -45,6 +48,56 @@ class TestProjectorMatrix:
     def test_dimension_cap(self, S4):
         with pytest.raises(CapExceeded):
             MonomialModule(S4, 3, caps=Caps(projector_dim=100))
+
+
+class TestDefinitionOracle:
+    """build_projector against (1/|G|) sum over g of alpha(g) gamma_i(g), in Cyclotomic."""
+
+    @staticmethod
+    def _definition(M, alpha):
+        G = M.group
+        expected = {}
+        for gi, g in enumerate(G.elements):
+            for c, point in enumerate(M.points):
+                r = M.index(apply_perm(g, point))
+                gamma = (Cyclotomic.one() if M.gamma is None else
+                         Cyclotomic.root_of_unity(M.gamma_order, M.gamma[(gi, c)]))
+                term = alpha.value(g) * gamma * Fraction(1, G.order)
+                expected[(r, c)] = expected.get((r, c), Cyclotomic.zero()) + term
+        return expected
+
+    def _modules(self):
+        s3, c4 = named_group("symmetric", 3), named_group("cyclic", 4)
+        yield s3, MonomialModule(s3, 1)
+        yield c4, MonomialModule(c4, 1)
+        for seed in (3, 11):
+            yield s3, random_gamma_family(s3, 1, seed=seed)
+
+    def test_entries_match_the_definition(self):
+        for G, M in self._modules():
+            for alpha in enumerate_linear_characters(G):
+                A = build_projector(M, alpha)
+                expected = self._definition(M, alpha)
+                for r in range(M.dim):
+                    for c in range(M.dim):
+                        want = expected.get((r, c), Cyclotomic.zero())
+                        assert A.entry(r, c) == want, (G, alpha, r, c)
+
+
+class TestNegativeControl:
+    def test_tampered_characters_fail_without_raising(self):
+        s3, c4 = named_group("symmetric", 3), named_group("cyclic", 4)
+        for G, ns in ((s3, (1, 2)), (c4, (1,))):
+            for chi in enumerate_linear_characters(G):
+                for n in ns:
+                    rep = verify_basis_prop(MonomialModule(G, n), _tampered(chi))
+                    assert not rep.ok and not rep.idempotent, (G, chi, n)
+
+    def test_non_rational_trace_is_reported(self, C4):
+        chi = enumerate_linear_characters(C4)[1]
+        rep = verify_basis_prop(MonomialModule(C4, 1), _tampered(chi))
+        assert not rep.trace.is_rational()
+        assert "conductor" in rep.to_json()["trace"]
 
 
 class TestAnnihilation:
@@ -110,16 +163,18 @@ class TestBasisReport:
 
 class TestRank:
     def test_rank_of_columns_small_cases(self):
-        one = Cyclotomic.one()
-        assert rank_of_columns([]) == 0
-        assert rank_of_columns([{0: one}, {0: one + one}]) == 1
-        assert rank_of_columns([{0: one, 1: one}, {1: one}, {0: one}]) == 2
+        Z = CyclotomicIntegers(1)
+        one = Z.one
+        assert rank_of_columns([], Z) == 0
+        assert rank_of_columns([{0: one}, {0: one + one}], Z) == 1
+        assert rank_of_columns([{0: one, 1: one}, {1: one}, {0: one}], Z) == 2
 
     def test_rank_with_cyclotomic_entries(self):
-        z = Cyclotomic.root_of_unity(3, 1)
-        cols = [{0: Cyclotomic.one(), 1: z}, {0: z * z, 1: Cyclotomic.one()}]
+        R = CyclotomicIntegers(3)
+        z = R.root(1)
+        cols = [{0: R.one, 1: z}, {0: R.mul(z, z), 1: R.one}]
         # second column = zeta^2 * first, since zeta^3 = 1
-        assert rank_of_columns(cols) == 1
+        assert rank_of_columns(cols, R) == 1
 
 
 class TestRandomGamma:
