@@ -9,10 +9,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .caps import CapExceeded, Caps, caps_from_env
+from .caps import DEFAULT_CAPS, CapExceeded, Caps, caps_from_env
 from .catalog import default_catalog, load_catalog
 from .characters import LinearCharacter, enumerate_linear_characters
 from .grammar import GroupSpec, SpecError, parse_character, parse_group
@@ -35,7 +34,7 @@ class JobSpec:
     group2_expr: str | None = None
     char2_sel: str | None = None
     fmt: str = "text"
-    caps: Caps = field(default_factory=caps_from_env)
+    caps: Caps = DEFAULT_CAPS
     tamper: bool = False
 
     def describe(self) -> str:
@@ -220,8 +219,7 @@ def _catalog_job_problem(job: dict) -> str | None:
     return None
 
 
-def run_suite(jobs: list[dict], caps: Caps, fmt: str = "text",
-              workers: int = 1) -> tuple[int, str]:
+def run_suite(jobs: list[dict], caps: Caps, fmt: str = "text") -> tuple[int, str]:
     """Run every catalog job; aggregate failures, outputs in catalog order."""
     if not jobs:
         return EXIT_USAGE, "usage error: the catalog is empty\n"
@@ -240,15 +238,11 @@ def run_suite(jobs: list[dict], caps: Caps, fmt: str = "text",
             caps=caps,
             tamper=bool(job.get("tamper_character", False)),
         ))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run, specs))
-    else:
-        results = [run(spec) for spec in specs]
     lines = []
     summary = []
     worst = EXIT_OK
-    for spec, (code, output) in zip(specs, results):
+    for spec in specs:
+        code, output = run(spec)
         status = {EXIT_OK: "ok", EXIT_MISMATCH: "FAIL",
                   EXIT_USAGE: "ERROR", EXIT_CAP: "CAP"}[code]
         lines.append(f"{status:5s} {spec.describe()}")
@@ -302,7 +296,6 @@ def build_parser() -> argparse.ArgumentParser:
     suite = sub.add_parser("suite", help="run a verification catalog")
     suite.add_argument("--catalog", default=None, help="path to a JSON catalog")
     suite.add_argument("--format", dest="fmt", choices=("text", "json"), default="text")
-    suite.add_argument("--jobs", type=int, default=1, help="worker threads")
     suite.add_argument("--cap", type=int, default=None)
     return parser
 
@@ -316,6 +309,9 @@ def main(argv: list[str] | None = None) -> int:
         sys.stdout.write(f"usage error: {exc}\n")
         return EXIT_USAGE
     if args.cap is not None:
+        if args.cap < 0:
+            sys.stdout.write(f"usage error: --cap must be a nonnegative integer, got {args.cap}\n")
+            return EXIT_USAGE
         caps = caps.with_overrides(orbit_work=args.cap)
     if args.command == "suite":
         try:
@@ -324,7 +320,7 @@ def main(argv: list[str] | None = None) -> int:
         except (OSError, ValueError) as exc:
             sys.stdout.write(f"usage error: {exc}\n")
             return EXIT_USAGE
-        code, output = run_suite(jobs, caps, fmt=args.fmt, workers=args.jobs)
+        code, output = run_suite(jobs, caps, fmt=args.fmt)
         sys.stdout.write(output)
         return code
     spec = JobSpec(

@@ -1,7 +1,8 @@
 """Permutations on {1,...,d} and permutation groups stored as explicit element lists.
 
-Points are 1-based throughout.  ``compose(a, b)`` applies ``b`` first, so the
-induced coordinate action on tuples is a left action.
+Every group is closed by one capped breadth-first walk, ``_bfs_order``, which
+also fixes the element order.  Points are 1-based throughout.  ``compose(a, b)``
+applies ``b`` first, so the induced coordinate action on tuples is a left action.
 """
 
 from __future__ import annotations
@@ -171,47 +172,40 @@ class PermGroup:
 
     @staticmethod
     def from_elements(elements: Iterable[Permutation], label: str | None = None) -> "PermGroup":
-        """Build a group from a closed element set; generators are reduced greedily."""
+        """Build a group from its element set; ValueError if the set is not a group.
+
+        Generators are chosen greedily in sorted order: each element not yet
+        generated is added and the group re-closed by one BFS, which may not
+        grow past the size of the set.  The elements come in the BFS order of
+        the last closure.
+        """
         elems = list(dict.fromkeys(elements))
         if not elems:
             raise ValueError("empty element list")
         degree = elems[0].degree
         elems.sort(key=lambda p: p.images)  # identity sorts first
-        elem_set = set(elems)
-        for a in elems:
-            if compose(a, a.inverse()) not in elem_set or a.inverse() not in elem_set:
-                raise ValueError("element set not closed under inversion")
+        size_cap = Caps(group_order=len(elems))
         gens: list[Permutation] = []
-        generated = {identity(degree)}
+        ordered = [identity(degree)]
+        generated = set(ordered)
         for p in elems:
             if p not in generated:
                 gens.append(p)
-                generated = _close(gens, degree, DEFAULT_CAPS)
-        if generated != elem_set:
-            raise ValueError("element set is not closed under composition")
-        ordered = _bfs_order(gens, degree)
+                try:
+                    ordered = _bfs_order(gens, degree, size_cap)
+                except CapExceeded:
+                    raise ValueError("element set is not a group") from None
+                generated = set(ordered)
+        # generated now holds every element and is no larger than the set: they are equal
         return PermGroup(degree, ordered, gens, label=label)
 
 
-def _close(generators: Sequence[Permutation], degree: int, caps: Caps) -> set[Permutation]:
-    elems = {identity(degree)}
-    frontier = [identity(degree)]
-    while frontier:
-        nxt = []
-        for e in frontier:
-            for g in generators:
-                p = compose(e, g)
-                if p not in elems:
-                    if len(elems) >= caps.group_order:
-                        raise CapExceeded(f"group order exceeds cap {caps.group_order}")
-                    elems.add(p)
-                    nxt.append(p)
-        frontier = nxt
-    return elems
+def _bfs_order(generators: Sequence[Permutation], degree: int, caps: Caps) -> list[Permutation]:
+    """Deterministic element order: breadth-first products in generator order.
 
-
-def _bfs_order(generators: Sequence[Permutation], degree: int) -> list[Permutation]:
-    """Deterministic element order: breadth-first products in generator order."""
+    Raises CapExceeded as soon as the group would have more than
+    ``caps.group_order`` elements.
+    """
     start = identity(degree)
     order = [start]
     seen = {start}
@@ -222,6 +216,8 @@ def _bfs_order(generators: Sequence[Permutation], degree: int) -> list[Permutati
             for g in generators:
                 p = compose(e, g)
                 if p not in seen:
+                    if len(order) >= caps.group_order:
+                        raise CapExceeded(f"group order exceeds cap {caps.group_order}")
                     seen.add(p)
                     order.append(p)
                     nxt.append(p)
@@ -244,8 +240,7 @@ def group_closure(generators: Iterable[Permutation], degree: int | None = None,
         raise ValueError("no generators and no degree given")
     if degree < 1:
         raise ValueError("degree must be positive")
-    _close(gens, degree, caps)  # enforces the order cap
-    return PermGroup(degree, _bfs_order(gens, degree), gens, label=label)
+    return PermGroup(degree, _bfs_order(gens, degree, caps), gens, label=label)
 
 
 def named_group(kind: str, d: int, caps: Caps = DEFAULT_CAPS) -> PermGroup:

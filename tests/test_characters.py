@@ -7,6 +7,8 @@ from cycindex import (Cyclotomic, compose, derived_subgroup,
                       kernel, named_group, perm_from_cycles, product_character,
                       sign_character, unit_character, wreath_character,
                       wreath_embed)
+from cycindex.characters import abelianization_exponent
+from cycindex.grammar import parse_group
 
 
 def character_count_oracle(G):
@@ -41,6 +43,15 @@ class TestEnumeration:
     def test_count_matches_abelianization(self, kind, d):
         G = named_group(kind, d)
         assert len(enumerate_linear_characters(G)) == character_count_oracle(G)
+
+    @pytest.mark.parametrize("expr,exponent", [
+        ("S(4)", 2), ("A(4)", 3), ("C(12)", 12), ("D(8)", 2),
+        ("gen[4]{(1 2)(3 4),(1 3)(2 4)}", 2), ("wreath(S(2),S(2))", 2),
+        ("product(S(3),D(4))", 2),
+    ])
+    def test_abelianization_exponent_table(self, expr, exponent):
+        G = parse_group(expr).group
+        assert abelianization_exponent(G, derived_subgroup(G)) == exponent
 
     def test_tables_are_pairwise_distinct(self, V4):
         chars = enumerate_linear_characters(V4)

@@ -3,7 +3,7 @@ import json
 import pytest
 
 from cycindex import sign_character
-from cycindex.catalog import default_catalog, load_catalog
+from cycindex.catalog import load_catalog
 from cycindex.cli import (EXIT_CAP, EXIT_MISMATCH, EXIT_OK, EXIT_USAGE,
                           JobSpec, main, run, run_suite)
 from cycindex.grammar import SpecError, parse_character, parse_group
@@ -172,13 +172,6 @@ class TestSuite:
         assert code == EXIT_MISMATCH
         assert "1/2 jobs passed" in out
 
-    def test_parallel_output_matches_serial(self):
-        from cycindex.caps import caps_from_env
-        jobs = default_catalog()[:12]
-        serial = run_suite(jobs, caps_from_env(), workers=1)
-        parallel = run_suite(jobs, caps_from_env(), workers=4)
-        assert serial == parallel
-
     @pytest.mark.parametrize("bad", [
         {"command": "verify", "group": "S(3)", "n": "2"},
         {"command": "verify", "group": "S(3)", "n": True},
@@ -244,10 +237,23 @@ class TestMain:
     def test_cap_variable_is_read(self, capsys, monkeypatch):
         monkeypatch.setenv("CYCINDEX_GROUP_CAP", " 5 ")
         assert main(["characters", "--group", "S(3)"]) == EXIT_CAP
+        assert capsys.readouterr().out == "cap exceeded: group order exceeds cap 5\n"
+
+    def test_job_spec_does_not_read_the_environment(self, monkeypatch):
+        monkeypatch.setenv("CYCINDEX_GROUP_CAP", "abc")
+        code, out = run(JobSpec("characters", "S(3)"))
+        assert code == EXIT_OK and out.startswith("group S(3): order 6")
 
     def test_cap_flag(self, capsys):
-        code = main(["orbits", "--group", "S(4)", "--n", "3", "--cap", "10"])
-        assert code == EXIT_CAP
+        for cap in ("10", "0"):
+            code = main(["orbits", "--group", "S(4)", "--n", "3", "--cap", cap])
+            assert code == EXIT_CAP
+
+    def test_negative_cap_flag_is_usage_error(self, capsys):
+        code = main(["orbits", "--group", "S(3)", "--n", "1", "--cap", "-5"])
+        out = capsys.readouterr().out
+        assert code == EXIT_USAGE
+        assert out.startswith("usage error:") and "--cap" in out and out.count("\n") == 1
 
     def test_json_format_flag(self, capsys):
         code = main(["cycle-index", "--group", "S(3)", "--char", "sign",

@@ -5,6 +5,7 @@ from cycindex import (PermGroup, Permutation, compose, cycle_type,
                       decompose_wreath_element, derived_subgroup,
                       direct_product_embed, group_closure, named_group,
                       perm_from_cycles, wreath_embed)
+from cycindex.caps import CapExceeded, Caps
 from cycindex.perms import identity, reconstruct_wreath_element
 
 
@@ -94,6 +95,26 @@ class TestClosure:
         again = PermGroup.from_elements(S3.elements)
         assert set(again.elements) == set(S3.elements)
         assert group_closure(S3.elements).order == S3.order
+
+    def test_group_order_cap_boundary(self):
+        gens = [perm_from_cycles("(1 2)", 3), perm_from_cycles("(1 2 3)", 3)]
+        assert group_closure(gens, caps=Caps(group_order=6)).order == 6
+        with pytest.raises(CapExceeded, match="^group order exceeds cap 5$"):
+            group_closure(gens, caps=Caps(group_order=5))
+
+    @pytest.mark.parametrize("cycles", [
+        ["", "(1 2 3)"],  # no inverse of (1 2 3); "" is the identity
+        ["(1 2)"],  # no identity
+        ["", "(1 2)", "(2 3)"],  # not closed under composition
+    ])
+    def test_from_elements_rejects_non_groups(self, cycles):
+        elements = [perm_from_cycles(c, 3) for c in cycles]
+        with pytest.raises(ValueError):
+            PermGroup.from_elements(elements)
+
+    def test_from_elements_keeps_bfs_order_of_greedy_generators(self, S4):
+        G = PermGroup.from_elements(reversed(S4.elements))
+        assert G.elements == group_closure(G.generators, degree=4).elements
 
     def test_identity_comes_first(self, S4):
         assert S4.elements[0].is_identity()
