@@ -32,20 +32,16 @@ MAIN_POINT_CAP = 4096
 BASIS_DIM_CAP = 1024
 
 
-def character_selectors(group_expr: str, caps: Caps = DEFAULT_CAPS) -> list[str]:
-    """Deterministic selector list covering every linear character of the group."""
-    spec = parse_group(group_expr, caps=caps)
-    count = len(enumerate_linear_characters(spec.group, caps=caps))
-    return [f"index:{k}" for k in range(count)]
-
-
 def default_catalog(caps: Caps = DEFAULT_CAPS) -> list[dict]:
+    """The job list; each group expression is parsed once."""
+    exprs = dict.fromkeys([*MAIN_GROUP_EXPRS, *(expr for expr, _ in PAIR_EXPRS)])
+    groups = {expr: parse_group(expr, caps=caps).group for expr in exprs}
     jobs: list[dict] = []
     for expr in MAIN_GROUP_EXPRS:
-        spec = parse_group(expr, caps=caps)
-        d = spec.group.degree
-        selectors = character_selectors(expr, caps=caps)
-        for sel in selectors:
+        d = groups[expr].degree
+        # one selector per linear character, in enumeration order
+        for k in range(len(enumerate_linear_characters(groups[expr], caps=caps))):
+            sel = f"index:{k}"
             for n in MAIN_NS:
                 if (n + 1) ** d > MAIN_POINT_CAP:
                     continue
@@ -57,9 +53,7 @@ def default_catalog(caps: Caps = DEFAULT_CAPS) -> list[dict]:
         for v_expr, theta_sel in PAIR_EXPRS:
             jobs.append({"command": "verify-product", "group": w_expr, "char": chi_sel,
                          "group2": v_expr, "char2": theta_sel, "n": 2})
-            d = parse_group(w_expr, caps=caps).group.degree
-            r = parse_group(v_expr, caps=caps).group.degree
-            if d * r <= 8:
+            if groups[w_expr].degree * groups[v_expr].degree <= 8:
                 jobs.append({"command": "verify-plethysm", "group": w_expr,
                              "char": chi_sel, "group2": v_expr, "char2": theta_sel})
     return jobs

@@ -170,7 +170,7 @@ def _run_product(spec: JobSpec, group_spec: GroupSpec,
     lam = product_character(chi, theta, embedded)
     lhs = cycle_index(embedded, lam)
     rhs = psum_mul(cycle_index(group_spec.group, chi),
-                   cycle_index(second.group, theta))
+                   cycle_index(second.group, theta), spec.caps)
     equal = lhs == rhs
     lines = [f"product rule {spec.group_expr}[{spec.char_sel}] x "
              f"{spec.group2_expr}[{spec.char2_sel or 'unit'}]: "
@@ -196,7 +196,7 @@ def _run_plethysm(spec: JobSpec, group_spec: GroupSpec,
     mu = wreath_character(theta, chi, wreath)
     lhs = cycle_index(wreath, mu)
     rhs = plethysm_insert(cycle_index(group_spec.group, chi),
-                          cycle_index(second.group, theta))
+                          cycle_index(second.group, theta), spec.caps)
     equal = lhs == rhs
     lines = [f"insertion rule {spec.group_expr}[{spec.char_sel}] o "
              f"{spec.group2_expr}[{spec.char2_sel or 'unit'}]: "

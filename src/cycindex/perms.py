@@ -174,30 +174,36 @@ class PermGroup:
     def from_elements(elements: Iterable[Permutation], label: str | None = None) -> "PermGroup":
         """Build a group from its element set; ValueError if the set is not a group.
 
-        Generators are chosen greedily in sorted order: each element not yet
-        generated is added and the group re-closed by one BFS, which may not
-        grow past the size of the set.  The elements come in the BFS order of
-        the last closure.
+        Generators are chosen greedily in sorted order (``_greedy_closure``),
+        and no closure may grow past the size of the set.  The elements come in
+        the BFS order of the last closure.
         """
         elems = list(dict.fromkeys(elements))
         if not elems:
             raise ValueError("empty element list")
         degree = elems[0].degree
         elems.sort(key=lambda p: p.images)  # identity sorts first
-        size_cap = Caps(group_order=len(elems))
-        gens: list[Permutation] = []
-        ordered = [identity(degree)]
-        generated = set(ordered)
-        for p in elems:
-            if p not in generated:
-                gens.append(p)
-                try:
-                    ordered = _bfs_order(gens, degree, size_cap)
-                except CapExceeded:
-                    raise ValueError("element set is not a group") from None
-                generated = set(ordered)
-        # generated now holds every element and is no larger than the set: they are equal
+        try:
+            gens, ordered = _greedy_closure(elems, degree, Caps(group_order=len(elems)))
+        except CapExceeded:
+            raise ValueError("element set is not a group") from None
+        # the closure holds every element and is no larger than the set: they are equal
         return PermGroup(degree, ordered, gens, label=label)
+
+
+def _greedy_closure(candidates: Iterable[Permutation], degree: int, caps: Caps
+                    ) -> tuple[list[Permutation], list[Permutation]]:
+    """Generators taken in turn from the candidates missing from the closure so far,
+    and the BFS order of their closure, which is re-walked once per generator."""
+    gens: list[Permutation] = []
+    ordered = [identity(degree)]
+    generated = set(ordered)
+    for p in candidates:
+        if p not in generated:
+            gens.append(p)
+            ordered = _bfs_order(gens, degree, caps)
+            generated = set(ordered)
+    return gens, ordered
 
 
 def _bfs_order(generators: Sequence[Permutation], degree: int, caps: Caps) -> list[Permutation]:
@@ -364,10 +370,14 @@ def reconstruct_wreath_element(sigma: Permutation, taus: Sequence[Permutation],
 
 
 def derived_subgroup(G: PermGroup, caps: Caps = DEFAULT_CAPS) -> PermGroup:
-    """Commutator subgroup, generated by all g^-1 h^-1 g h."""
-    commutators = []
-    for g in G.elements:
-        gi = g.inverse()
-        for h in G.elements:
-            commutators.append(compose(compose(gi, h.inverse()), compose(g, h)))
-    return group_closure(commutators, degree=G.degree, caps=caps)
+    """Commutator subgroup [G,G], generated by x^-1 g^-1 x g for x in G and g a generator.
+
+    These generate a normal subgroup N (y^-1 [x,g] y = [xy,g] [y,g]^-1), and
+    modulo N every generator commutes with every element, so G/N is abelian
+    and N = [G,G].  A commutator becomes a generator only when the closure
+    so far misses it.
+    """
+    commutators = (compose(compose(x.inverse(), g.inverse()), compose(x, g))
+                   for x in G.elements for g in G.generators)
+    gens, ordered = _greedy_closure(commutators, G.degree, caps)
+    return PermGroup(G.degree, ordered, gens)

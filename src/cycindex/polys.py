@@ -2,16 +2,22 @@
 
 PowerSumPoly lives in p_1..p_d with cyclotomic coefficients and is isobaric:
 every exponent vector (c_1,...,c_d) satisfies sum(s * c_s) = weight.
-MonomialPoly lives in x_0..x_n.  Term order for printing is reverse
-lexicographic on padded exponent vectors, which is graded for the isobaric and
-homogeneous polynomials produced here.
+MonomialPoly lives in x_0..x_n.  Both subclass one sparse core,
+``_SparsePoly``, and differ only in the key rule, the size field and the
+variable names.  Term order for printing is reverse lexicographic on padded
+exponent vectors, which is graded for the isobaric and homogeneous
+polynomials produced here.
+
+The algebra side is one substitution into Z(chi; p_1..p_d), ``_substitute``:
+p_s -> x_0^s + ... + x_n^s gives g_n (``specialize``), and
+p_s -> Z_V(p_s, p_2s, ...) gives the insertion rule (``plethysm_insert``).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
-from typing import Iterable, Mapping
+from itertools import combinations, zip_longest
+from typing import Callable, Iterable, Mapping
 
 from .caps import Caps, CapExceeded, DEFAULT_CAPS
 from .characters import LinearCharacter
@@ -19,27 +25,135 @@ from .cyclo import Cyclotomic
 from .perms import PermGroup, cycle_type
 
 
-def _trim(exponents: Iterable[int]) -> tuple[int, ...]:
-    exps = list(exponents)
-    while exps and exps[-1] == 0:
-        exps.pop()
-    return tuple(exps)
+class _SparsePoly:
+    """Exponent tuples mapped to nonzero cyclotomic coefficients.
+
+    A subclass names its size field ``SIZE`` (the attribute is ``size``), its
+    variable letter ``VAR`` and the index ``FIRST`` of its first variable, says
+    whether zero polynomials of different sizes differ (``SIZE_IN_EQ``), and
+    supplies the key rule ``_key`` (normal form of an exponent vector,
+    ValueError if it does not fit) and ``_product_size``.  Terms with a zero
+    coefficient are dropped before their key is looked at.
+    """
+
+    SIZE: str
+    VAR: str
+    FIRST: int
+    SIZE_IN_EQ: bool
+
+    def __init__(self, size: int, terms: Mapping[tuple[int, ...], Cyclotomic]):
+        self.size = size
+        self.terms = {self._key(exps): coeff for exps, coeff in terms.items() if coeff}
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def coefficient(self, exps: Iterable[int]) -> Cyclotomic:
+        try:
+            key = self._key(exps)
+        except ValueError:  # no term can have this exponent vector
+            return Cyclotomic.zero()
+        return self.terms.get(key, Cyclotomic.zero())
+
+    def add(self, other):
+        if self.size != other.size:
+            raise ValueError(f"{self.SIZE} mismatch: {self.size} != {other.size}")
+        out = dict(self.terms)
+        for exps, coeff in other.terms.items():
+            prev = out.get(exps)
+            out[exps] = coeff if prev is None else prev + coeff
+        return type(self)(self.size, out)
+
+    def sub(self, other):
+        return self.add(other.scale(-1))
+
+    def scale(self, factor):
+        return type(self)(self.size, {e: c * factor for e, c in self.terms.items()})
+
+    def mul(self, other, caps: Caps = DEFAULT_CAPS):
+        """Product, padding exponent vectors of unequal length with zeros."""
+        if len(self.terms) * len(other.terms) > caps.specialize_terms:
+            raise CapExceeded("monomial product exceeds the term cap")
+        out: dict[tuple[int, ...], Cyclotomic] = {}
+        for ea, ca in self.terms.items():
+            for eb, cb in other.terms.items():
+                key = tuple(x + y for x, y in zip_longest(ea, eb, fillvalue=0))
+                prev = out.get(key)
+                out[key] = ca * cb if prev is None else prev + ca * cb
+        return type(self)(self._product_size(other), out)
+
+    def sorted_terms(self) -> list[tuple[tuple[int, ...], Cyclotomic]]:
+        width = max((len(e) for e in self.terms), default=0)
+        return sorted(self.terms.items(),
+                      key=lambda kv: kv[0] + (0,) * (width - len(kv[0])),
+                      reverse=True)
+
+    def __eq__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return self.terms == other.terms and (
+            self.size == other.size or not self.SIZE_IN_EQ)
+
+    def render_text(self) -> str:
+        pieces = []
+        for exps, coeff in self.sorted_terms():
+            mono = "*".join(f"{self.VAR}{i + self.FIRST}" + (f"^{e}" if e > 1 else "")
+                            for i, e in enumerate(exps) if e)
+            negative = coeff.is_rational() and coeff.as_rational() < 0
+            shown = -coeff if negative else coeff
+            if not mono:
+                body = _coeff_text(shown)
+            elif shown == Cyclotomic.one():
+                body = mono
+            else:
+                body = f"{_coeff_text(shown)}*{mono}"
+            if pieces:
+                pieces.append(f"{'-' if negative else '+'} {body}")
+            else:
+                pieces.append(f"-{body}" if negative else body)
+        return " ".join(pieces) if pieces else "0"
+
+    def to_json(self):
+        return {
+            self.SIZE: self.size,
+            "terms": [{"exponents": list(exps), "coeff": coeff.to_json()}
+                      for exps, coeff in self.sorted_terms()],
+        }
+
+    def __repr__(self):
+        return f"{type(self).__name__}({self.render_text()})"
 
 
-class PowerSumPoly:
-    """Sparse isobaric polynomial in the power sums p_1, p_2, ..."""
+def _coeff_text(coeff: Cyclotomic) -> str:
+    if coeff.is_rational():
+        q = coeff.as_rational()
+        return str(q.numerator) if q.denominator == 1 else f"({q.numerator}/{q.denominator})"
+    return f"({coeff})"
 
-    def __init__(self, weight: int, terms: Mapping[tuple[int, ...], Cyclotomic]):
-        self.weight = weight
-        clean: dict[tuple[int, ...], Cyclotomic] = {}
-        for exps, coeff in terms.items():
-            exps = _trim(exps)
-            if not coeff:
-                continue
-            if sum(s * c for s, c in enumerate(exps, start=1)) != weight:
-                raise ValueError(f"term {exps} is not isobaric of weight {weight}")
-            clean[exps] = coeff
-        self.terms = clean
+
+class PowerSumPoly(_SparsePoly):
+    """Sparse isobaric polynomial in the power sums p_1, p_2, ...
+
+    Keys carry no trailing zeros.  Equality ignores the weight, which only
+    tells zero polynomials apart.
+    """
+
+    SIZE, VAR, FIRST, SIZE_IN_EQ = "weight", "p", 1, False
+
+    @property
+    def weight(self) -> int:
+        return self.size
+
+    def _key(self, exps):
+        key = list(exps)
+        while key and key[-1] == 0:
+            key.pop()
+        if sum(s * c for s, c in enumerate(key, start=1)) != self.size:
+            raise ValueError(f"term {tuple(key)} is not isobaric of weight {self.size}")
+        return tuple(key)
+
+    def _product_size(self, other):
+        return self.size + other.size
 
     @staticmethod
     def unit() -> "PowerSumPoly":
@@ -49,60 +163,24 @@ class PowerSumPoly:
     def zero(weight: int) -> "PowerSumPoly":
         return PowerSumPoly(weight, {})
 
-    @staticmethod
-    def single(weight: int) -> "PowerSumPoly":
-        """The bare power sum p_weight."""
-        exps = [0] * weight
-        exps[weight - 1] = 1
-        return PowerSumPoly(weight, {tuple(exps): Cyclotomic.one()})
 
-    def is_zero(self) -> bool:
-        return not self.terms
+class MonomialPoly(_SparsePoly):
+    """Sparse polynomial in x_0, ..., x_{nvars-1}; every key has length nvars."""
 
-    def coefficient(self, exps: Iterable[int]) -> Cyclotomic:
-        return self.terms.get(_trim(exps), Cyclotomic.zero())
+    SIZE, VAR, FIRST, SIZE_IN_EQ = "nvars", "x", 0, True
 
-    def sorted_terms(self) -> list[tuple[tuple[int, ...], Cyclotomic]]:
-        width = max((len(e) for e in self.terms), default=0)
-        return sorted(self.terms.items(),
-                      key=lambda kv: kv[0] + (0,) * (width - len(kv[0])),
-                      reverse=True)
+    @property
+    def nvars(self) -> int:
+        return self.size
 
-    def __eq__(self, other):
-        if not isinstance(other, PowerSumPoly):
-            return NotImplemented
-        if self.terms.keys() != other.terms.keys():
-            return False
-        return all(self.terms[k] == other.terms[k] for k in self.terms)
+    def _key(self, exps):
+        key = tuple(exps)
+        if len(key) != self.size:
+            raise ValueError(f"exponent vector {key} has wrong length")
+        return key
 
-    __hash__ = None
-
-    def render_text(self) -> str:
-        return _render(self.sorted_terms(), lambda e: _monomial_text(e, "p", offset=1))
-
-    def to_json(self):
-        return {
-            "weight": self.weight,
-            "terms": [{"exponents": list(exps), "coeff": coeff.to_json()}
-                      for exps, coeff in self.sorted_terms()],
-        }
-
-    def __repr__(self):
-        return f"PowerSumPoly({self.render_text() or '0'})"
-
-
-class MonomialPoly:
-    """Sparse polynomial in x_0, ..., x_{nvars-1}."""
-
-    def __init__(self, nvars: int, terms: Mapping[tuple[int, ...], Cyclotomic]):
-        self.nvars = nvars
-        clean: dict[tuple[int, ...], Cyclotomic] = {}
-        for exps, coeff in terms.items():
-            if len(exps) != nvars:
-                raise ValueError(f"exponent vector {exps} has wrong length")
-            if coeff:
-                clean[tuple(exps)] = coeff
-        self.terms = clean
+    def _product_size(self, other):
+        return self.size
 
     @staticmethod
     def zero(nvars: int) -> "MonomialPoly":
@@ -111,33 +189,6 @@ class MonomialPoly:
     @staticmethod
     def one(nvars: int) -> "MonomialPoly":
         return MonomialPoly(nvars, {(0,) * nvars: Cyclotomic.one()})
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def coefficient(self, exps: Iterable[int]) -> Cyclotomic:
-        return self.terms.get(tuple(exps), Cyclotomic.zero())
-
-    def add(self, other: "MonomialPoly") -> "MonomialPoly":
-        out = dict(self.terms)
-        for exps, coeff in other.terms.items():
-            out[exps] = out.get(exps, Cyclotomic.zero()) + coeff
-        return MonomialPoly(self.nvars, out)
-
-    def scale(self, factor) -> "MonomialPoly":
-        return MonomialPoly(self.nvars,
-                            {e: c * factor for e, c in self.terms.items()})
-
-    def mul(self, other: "MonomialPoly", caps: Caps = DEFAULT_CAPS) -> "MonomialPoly":
-        if len(self.terms) * len(other.terms) > caps.specialize_terms:
-            raise CapExceeded("monomial product exceeds the term cap")
-        out: dict[tuple[int, ...], Cyclotomic] = {}
-        for ea, ca in self.terms.items():
-            for eb, cb in other.terms.items():
-                key = tuple(x + y for x, y in zip(ea, eb))
-                prev = out.get(key)
-                out[key] = ca * cb if prev is None else prev + ca * cb
-        return MonomialPoly(self.nvars, out)
 
     def substitute(self, assignments: Mapping[int, Fraction]) -> "MonomialPoly":
         """Replace the given variables by exact rational values."""
@@ -160,81 +211,40 @@ class MonomialPoly:
             total = total + coeff
         return total
 
-    def sorted_terms(self) -> list[tuple[tuple[int, ...], Cyclotomic]]:
-        return sorted(self.terms.items(), key=lambda kv: kv[0], reverse=True)
 
-    def __eq__(self, other):
-        if not isinstance(other, MonomialPoly):
-            return NotImplemented
-        if self.nvars != other.nvars or self.terms.keys() != other.terms.keys():
-            return False
-        return all(self.terms[k] == other.terms[k] for k in self.terms)
-
-    __hash__ = None
-
-    def render_text(self) -> str:
-        return _render(self.sorted_terms(), lambda e: _monomial_text(e, "x", offset=0))
-
-    def to_json(self):
-        return {
-            "nvars": self.nvars,
-            "terms": [{"exponents": list(exps), "coeff": coeff.to_json()}
-                      for exps, coeff in self.sorted_terms()],
-        }
-
-    def __repr__(self):
-        return f"MonomialPoly({self.render_text() or '0'})"
-
-
-def _monomial_text(exps: tuple[int, ...], var: str, offset: int) -> str:
-    parts = []
-    for i, e in enumerate(exps):
-        if e == 1:
-            parts.append(f"{var}{i + offset}")
-        elif e > 1:
-            parts.append(f"{var}{i + offset}^{e}")
-    return "*".join(parts)
-
-
-def _coeff_text(coeff: Cyclotomic) -> str:
-    if coeff.is_rational():
-        q = coeff.as_rational()
-        return str(q.numerator) if q.denominator == 1 else f"({q.numerator}/{q.denominator})"
-    return f"({coeff})"
-
-
-def _render(sorted_terms, monomial) -> str:
-    pieces = []
-    for exps, coeff in sorted_terms:
-        mono = monomial(exps)
-        negative = coeff.is_rational() and coeff.as_rational() < 0
-        shown = -coeff if negative else coeff
-        if not mono:
-            body = _coeff_text(shown)
-        elif shown == Cyclotomic.one():
-            body = mono
-        else:
-            body = f"{_coeff_text(shown)}*{mono}"
-        if not pieces:
-            pieces.append(f"-{body}" if negative else body)
-        else:
-            pieces.append(f"- {body}" if negative else f"+ {body}")
-    return " ".join(pieces) if pieces else "0"
+# The power-sum operations the product and insertion rules are checked with.
+psum_mul = PowerSumPoly.mul
+psum_sub = PowerSumPoly.sub
 
 
 def cycle_index(G: PermGroup, chi: LinearCharacter) -> PowerSumPoly:
     """Generalized cycle index: |W|^-1 sum over sigma of chi(sigma) p^cycle_type(sigma)."""
     if chi.group != G:
         raise ValueError("character is defined on a different group")
-    d = G.degree
     acc: dict[tuple[int, ...], Cyclotomic] = {}
     for sigma in G.elements:
-        key = _trim(cycle_type(sigma))
+        key = cycle_type(sigma)
         value = chi.value(sigma)
         prev = acc.get(key)
         acc[key] = value if prev is None else prev + value
     scale = Fraction(1, G.order)
-    return PowerSumPoly(d, {k: v * scale for k, v in acc.items()})
+    return PowerSumPoly(G.degree, {k: v * scale for k, v in acc.items()})
+
+
+def _substitute(Z: PowerSumPoly, image: Callable[[int], _SparsePoly],
+                one: _SparsePoly, zero: _SparsePoly, caps: Caps) -> _SparsePoly:
+    """Z with every p_s replaced by image(s), expanded term by term."""
+    images: dict[int, _SparsePoly] = {}
+    result = zero
+    for exps, coeff in Z.sorted_terms():
+        prod = one
+        for s, c in enumerate(exps, start=1):
+            if c and s not in images:
+                images[s] = image(s)
+            for _ in range(c):
+                prod = prod.mul(images[s], caps)
+        result = result.add(prod.scale(coeff))
+    return result
 
 
 def power_sum_in_vars(s: int, nvars: int) -> MonomialPoly:
@@ -252,43 +262,11 @@ def specialize(Z: PowerSumPoly, n: int, caps: Caps = DEFAULT_CAPS) -> MonomialPo
     if n < 0:
         raise ValueError("n must be nonnegative")
     nvars = n + 1
-    psums = {}
-    result = MonomialPoly.zero(nvars)
-    for exps, coeff in Z.sorted_terms():
-        prod = MonomialPoly.one(nvars)
-        for s, c in enumerate(exps, start=1):
-            if c:
-                if s not in psums:
-                    psums[s] = power_sum_in_vars(s, nvars)
-                for _ in range(c):
-                    prod = prod.mul(psums[s], caps=caps)
-        result = result.add(prod.scale(coeff))
+    result = _substitute(Z, lambda s: power_sum_in_vars(s, nvars),
+                         MonomialPoly.one(nvars), MonomialPoly.zero(nvars), caps)
     if not is_symmetric(result):
         raise AssertionError("specialized cycle index is not symmetric")
     return result
-
-
-def psum_mul(A: PowerSumPoly, B: PowerSumPoly) -> PowerSumPoly:
-    out: dict[tuple[int, ...], Cyclotomic] = {}
-    for ea, ca in A.terms.items():
-        for eb, cb in B.terms.items():
-            width = max(len(ea), len(eb))
-            key = tuple((ea[i] if i < len(ea) else 0) + (eb[i] if i < len(eb) else 0)
-                        for i in range(width))
-            add = ca * cb
-            prev = out.get(key)
-            out[key] = add if prev is None else prev + add
-    return PowerSumPoly(A.weight + B.weight, out)
-
-
-def psum_sub(A: PowerSumPoly, B: PowerSumPoly) -> PowerSumPoly:
-    if A.weight != B.weight:
-        raise ValueError(f"weight mismatch: {A.weight} != {B.weight}")
-    out = dict(A.terms)
-    for exps, coeff in B.terms.items():
-        prev = out.get(exps)
-        out[exps] = -coeff if prev is None else prev - coeff
-    return PowerSumPoly(A.weight, out)
 
 
 def psum_reindex(Z: PowerSumPoly, s: int) -> PowerSumPoly:
@@ -303,27 +281,11 @@ def psum_reindex(Z: PowerSumPoly, s: int) -> PowerSumPoly:
     return PowerSumPoly(Z.weight * s, out)
 
 
-def plethysm_insert(Z_outer: PowerSumPoly, Z_inner: PowerSumPoly) -> PowerSumPoly:
+def plethysm_insert(Z_outer: PowerSumPoly, Z_inner: PowerSumPoly,
+                    caps: Caps = DEFAULT_CAPS) -> PowerSumPoly:
     """Insertion: substitute p_s -> Z_inner(p_s, p_2s, ..., p_rs) inside Z_outer."""
-    d, r = Z_outer.weight, Z_inner.weight
-    inserted = {s: psum_reindex(Z_inner, s) for s in range(1, d + 1)}
-    result = PowerSumPoly.zero(d * r)
-    for exps, coeff in Z_outer.sorted_terms():
-        prod = PowerSumPoly.unit()
-        for s, c in enumerate(exps, start=1):
-            for _ in range(c):
-                prod = psum_mul(prod, inserted[s])
-        scaled = PowerSumPoly(prod.weight, {e: c * coeff for e, c in prod.terms.items()})
-        result = _psum_add(result, scaled)
-    return result
-
-
-def _psum_add(A: PowerSumPoly, B: PowerSumPoly) -> PowerSumPoly:
-    out = dict(A.terms)
-    for exps, coeff in B.terms.items():
-        prev = out.get(exps)
-        out[exps] = coeff if prev is None else prev + coeff
-    return PowerSumPoly(A.weight, out)
+    return _substitute(Z_outer, lambda s: psum_reindex(Z_inner, s), PowerSumPoly.unit(),
+                       PowerSumPoly.zero(Z_outer.weight * Z_inner.weight), caps)
 
 
 def elementary_symmetric(d: int, n: int) -> MonomialPoly:

@@ -101,9 +101,14 @@ class MonomialModule:
             weights.append([(e + k * sg) % m for k in gam])
         return CyclotomicIntegers(m), weights
 
-    def qualifying_indices(self, alpha: LinearCharacter) -> list[int]:
-        """I(M, alpha): points whose stabilizer satisfies gamma_i = alpha^-1."""
-        _, weights = self.twist(alpha)
+    def qualifying_indices(self, alpha: LinearCharacter,
+                           weights: list[list[int]] | None = None) -> list[int]:
+        """I(M, alpha): points whose stabilizer satisfies gamma_i = alpha^-1.
+
+        ``weights`` is the table of ``twist(alpha)`` when the caller has it.
+        """
+        if weights is None:
+            _, weights = self.twist(alpha)
         return [i for i in range(self.dim)
                 if not any(w[i] for pm, w in zip(self.point_map, weights) if pm[i] == i)]
 
@@ -215,12 +220,15 @@ def rank_of_columns(columns: list[Column], ring: CyclotomicIntegers) -> int:
     return rank
 
 
-def build_projector(M: MonomialModule, alpha: LinearCharacter) -> SparseMatrix:
+def build_projector(M: MonomialModule, alpha: LinearCharacter,
+                    twist: tuple[CyclotomicIntegers, list[list[int]]] | None = None
+                    ) -> SparseMatrix:
     """a_alpha = |G|^-1 sum over g of alpha(g) g, as a matrix in the v_i basis.
 
     The columns hold |G| a_alpha, whose entries are sums of roots of unity.
+    ``twist`` is ``M.twist(alpha)`` when the caller has it.
     """
-    ring, weights = M.twist(alpha)
+    ring, weights = twist or M.twist(alpha)
     add, roots = ring.add, ring.powers
     cols: list[Column] = [{} for _ in range(M.dim)]
     for pm, w in zip(M.point_map, weights):
@@ -235,22 +243,27 @@ def check_idempotent(A: SparseMatrix) -> bool:
 
 
 def check_annihilation(M: MonomialModule, alpha: LinearCharacter,
-                       A: SparseMatrix | None = None) -> bool:
+                       A: SparseMatrix | None = None,
+                       twist: tuple[CyclotomicIntegers, list[list[int]]] | None = None,
+                       qualifying: set[int] | None = None) -> bool:
     """Columns outside I(M, alpha) vanish, and a_alpha g = alpha(g)^-1 a_alpha.
 
     The intertwining relation is checked on generators, which extends to the
     whole group multiplicatively; it makes every difference alpha^-1(g) z - g z
     a kernel element.  Column i of a_alpha g is gamma_i(g) times column g.i of
     a_alpha, so the relation reads alpha(g) gamma_i(g) A[:, g.i] = A[:, i],
-    compared entry by entry.
+    compared entry by entry.  ``twist`` and ``qualifying`` are ``M.twist(alpha)``
+    and the set of ``M.qualifying_indices(alpha)`` when the caller has them.
     """
+    twist = twist or M.twist(alpha)
+    ring, weights = twist
     if A is None:
-        A = build_projector(M, alpha)
-    qualifying = set(M.qualifying_indices(alpha))
+        A = build_projector(M, alpha, twist)
+    if qualifying is None:
+        qualifying = set(M.qualifying_indices(alpha, weights))
     for i in range(M.dim):
         if i not in qualifying and A.cols[i]:
             return False
-    ring, weights = M.twist(alpha)
     mul = ring.mul
     for g in M.group.generators:
         gi = M.group.index(g)
@@ -299,24 +312,24 @@ def verify_basis_prop(M: MonomialModule, alpha: LinearCharacter) -> BasisReport:
     A trace that is not rational (alpha is not a homomorphism) fails the
     trace = |J| statement like any other wrong trace.
     """
-    A = build_projector(M, alpha)
+    twist = M.twist(alpha)
+    ring, weights = twist
+    qualifying = set(M.qualifying_indices(alpha, weights))
+    A = build_projector(M, alpha, twist)
     idempotent = check_idempotent(A)
-    annihilation_ok = check_annihilation(M, alpha, A=A)
+    annihilation_ok = check_annihilation(M, alpha, A, twist, qualifying)
     trace = A.trace()
     rank = A.rank()
 
-    qualifying = set(M.qualifying_indices(alpha))
     reps, rep_of, via = M.orbit_transversal()
     J = [i for i in reps if i in qualifying]
     J0 = [i for i in reps if i not in qualifying]
 
-    ring = A.ring
     image_cols = [A.cols[j] for j in J]
     independent = rank_of_columns(image_cols, ring) == len(J)
 
     # families (1.2.4) and (1.2.5): differences along the transversal plus the
     # excluded representatives; they must lie in ker a_alpha and span dim - |J|
-    _, weights = M.twist(alpha)
     kernel_cols: list[Column] = []
     kernel_ok = True
     for i in range(M.dim):

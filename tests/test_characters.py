@@ -1,3 +1,4 @@
+import time
 from math import lcm
 
 import pytest
@@ -8,6 +9,7 @@ from cycindex import (Cyclotomic, compose, derived_subgroup,
                       sign_character, unit_character, wreath_character,
                       wreath_embed)
 from cycindex.characters import abelianization_exponent
+from cycindex.cli import EXIT_OK, JobSpec, run
 from cycindex.grammar import parse_group
 
 
@@ -52,6 +54,14 @@ class TestEnumeration:
     def test_abelianization_exponent_table(self, expr, exponent):
         G = parse_group(expr).group
         assert abelianization_exponent(G, derived_subgroup(G)) == exponent
+
+    @pytest.mark.parametrize("d", [7, 8])
+    def test_large_symmetric_groups_finish_quickly(self, d):
+        # the derived subgroup once formed all |G|^2 commutators: minutes for S(7)
+        started = time.monotonic()
+        code, out = run(JobSpec("characters", f"S({d})"))
+        assert code == EXIT_OK and "2 linear character(s)" in out
+        assert time.monotonic() - started < 60.0
 
     def test_tables_are_pairwise_distinct(self, V4):
         chars = enumerate_linear_characters(V4)

@@ -189,6 +189,17 @@ class TestSuite:
         assert code == EXIT_USAGE
         assert out.startswith("usage error: catalog job") and out.count("\n") == 1
 
+    def test_default_catalog_parses_each_expression_once(self, monkeypatch):
+        import cycindex.catalog as catalog
+        parsed = []
+
+        def counting_parse(expr, caps):
+            parsed.append(expr)
+            return parse_group(expr, caps=caps)
+        monkeypatch.setattr(catalog, "parse_group", counting_parse)
+        assert len(catalog.default_catalog()) == 551
+        assert len(parsed) == len(set(parsed)) == 21
+
     def test_load_catalog(self, tmp_path):
         path = tmp_path / "catalog.json"
         path.write_text(json.dumps([
@@ -248,6 +259,15 @@ class TestMain:
         for cap in ("10", "0"):
             code = main(["orbits", "--group", "S(4)", "--n", "3", "--cap", cap])
             assert code == EXIT_CAP
+
+    @pytest.mark.parametrize("command", ["verify-plethysm", "verify-product"])
+    def test_term_cap_variable_bounds_power_sum_products(self, capsys, monkeypatch,
+                                                         command):
+        monkeypatch.setenv("CYCINDEX_TERM_CAP", "1")
+        code = main([command, "--group", "S(2)", "--group2", "S(2)"])
+        out = capsys.readouterr().out
+        assert code == EXIT_CAP
+        assert out.startswith("cap exceeded:") and out.count("\n") == 1
 
     def test_negative_cap_flag_is_usage_error(self, capsys):
         code = main(["orbits", "--group", "S(3)", "--n", "1", "--cap", "-5"])

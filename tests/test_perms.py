@@ -6,6 +6,7 @@ from cycindex import (PermGroup, Permutation, compose, cycle_type,
                       direct_product_embed, group_closure, named_group,
                       perm_from_cycles, wreath_embed)
 from cycindex.caps import CapExceeded, Caps
+from cycindex.grammar import parse_group
 from cycindex.perms import identity, reconstruct_wreath_element
 
 
@@ -239,6 +240,13 @@ class TestDerivedSubgroup:
         derived = derived_subgroup(S4)
         assert derived.order == 12
         assert set(derived.elements) == set(A4.elements)
+
+    @pytest.mark.parametrize("expr", [
+        "S(5)", "A(5)", "D(6)", "wreath(S(3),S(2))", "product(S(3),D(4))",
+    ])
+    def test_equals_closure_of_all_commutators(self, expr):
+        G = parse_group(expr).group
+        assert set(derived_subgroup(G).elements) == self.commutator_oracle(G)
 
     def test_derived_subgroup_is_normal(self, S4):
         derived = derived_subgroup(S4)

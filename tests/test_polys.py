@@ -141,6 +141,13 @@ class TestPowerSumAlgebra:
             psum_sub(cycle_index(S3, unit_character(S3)),
                      cycle_index(C4, unit_character(C4)))
 
+    def test_term_cap_bounds_products(self, S3):
+        Z = cycle_index(S3, unit_character(S3))
+        with pytest.raises(CapExceeded):
+            psum_mul(Z, Z, Caps(specialize_terms=1))
+        with pytest.raises(CapExceeded):
+            plethysm_insert(Z, Z, Caps(specialize_terms=1))
+
     def test_alternating_archetype_d4(self, S4, A4):
         za = cycle_index(A4, unit_character(A4))
         zs = cycle_index(S4, unit_character(S4))
@@ -207,6 +214,19 @@ class TestMonomialHelpers:
         e2 = elementary_symmetric(2, 2)
         out = e2.substitute({0: Fraction(1), 1: Fraction(2), 2: Fraction(3)})
         assert out.coefficient((0, 0, 0)) == Cyclotomic.from_rational(11)
+
+    def test_equality_and_coefficient_edge_cases(self, S3):
+        # power-sum equality ignores the weight; monomial equality checks nvars
+        assert PowerSumPoly.zero(2) == PowerSumPoly.zero(3)
+        assert MonomialPoly.zero(2) != MonomialPoly.zero(3)
+        Z = cycle_index(S3, unit_character(S3))
+        assert Z.coefficient((3, 0, 0)) == Cyclotomic.from_rational(Fraction(1, 6))
+        assert Z.coefficient((1,)) == 0  # not isobaric of weight 3
+        assert elementary_symmetric(1, 1).coefficient((1,)) == 0  # wrong length
+        with pytest.raises(ValueError):
+            PowerSumPoly(3, {(1,): Cyclotomic.one()})
+        with pytest.raises(ValueError):
+            MonomialPoly(2, {(1,): Cyclotomic.one()})
 
     def test_json_round_trip_shape(self, S3):
         Z = cycle_index(S3, sign_character(S3))
