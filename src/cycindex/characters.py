@@ -10,7 +10,7 @@ from __future__ import annotations
 from itertools import product as iter_product
 from math import gcd, lcm
 
-from .caps import Caps, DEFAULT_CAPS
+from .caps import Caps, CapExceeded, DEFAULT_CAPS
 from .cyclo import Cyclotomic
 from .perms import (PermGroup, Permutation, compose, cycle_type,
                     decompose_wreath_element, derived_subgroup,
@@ -108,11 +108,19 @@ def abelianization_exponent(G: PermGroup, derived: PermGroup) -> int:
 
 def enumerate_linear_characters(G: PermGroup, caps: Caps = DEFAULT_CAPS
                                 ) -> list[LinearCharacter]:
-    """All linear characters of G, deterministically ordered, unit character first."""
+    """All linear characters of G, deterministically ordered, unit character first.
+
+    Each of the m^#gens generator assignments walks the group once, so that
+    search is bounded by the work cap.
+    """
     derived = derived_subgroup(G, caps=caps)
     expected = G.order // derived.order
     m = abelianization_exponent(G, derived)
     gens = G.generators
+    work = m ** len(gens) * G.order * len(gens)
+    if work > caps.orbit_work:
+        raise CapExceeded(f"m^#gens * |G| * #gens = {work} for the character search "
+                          f"exceeds work cap {caps.orbit_work}")
     found: list[tuple[int, ...]] = []
     seen: set[tuple[int, ...]] = set()
     for assignment in iter_product(range(m), repeat=len(gens)):

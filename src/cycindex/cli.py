@@ -60,13 +60,23 @@ def _tampered(chi: LinearCharacter) -> LinearCharacter:
 
 
 def run(spec: JobSpec) -> tuple[int, str]:
-    """Execute one job; returns (exit code, rendered output)."""
+    """Execute one job; returns (exit code, rendered output).
+
+    Fails closed: any exception ends as one output line, so one bad job
+    cannot stop a suite.  Running out of memory counts as a cap hit; any
+    other unexpected exception is an internal error with exit code 1.
+    """
     try:
         return _dispatch(spec)
     except CapExceeded as exc:
         return EXIT_CAP, f"cap exceeded: {exc}\n"
     except SpecError as exc:
         return EXIT_USAGE, f"usage error: {exc}\n"
+    except MemoryError:
+        return EXIT_CAP, "cap exceeded: out of memory\n"
+    except Exception as exc:
+        detail = " ".join(f"{type(exc).__name__}: {exc}".split())
+        return EXIT_MISMATCH, f"internal error: {detail}\n"
 
 
 def _dispatch(spec: JobSpec) -> tuple[int, str]:
@@ -281,7 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", dest="fmt", choices=("text", "json", "tsv"),
                        default="text")
         p.add_argument("--cap", type=int, default=None,
-                       help="override the orbit work cap")
+                       help="override the work cap")
 
     common(sub.add_parser("characters", help="list the linear characters"))
     common(sub.add_parser("cycle-index", help="print the generalized cycle index"))
@@ -320,6 +330,9 @@ def main(argv: list[str] | None = None) -> int:
         except (OSError, ValueError) as exc:
             sys.stdout.write(f"usage error: {exc}\n")
             return EXIT_USAGE
+        except CapExceeded as exc:
+            sys.stdout.write(f"cap exceeded: {exc}\n")
+            return EXIT_CAP
         code, output = run_suite(jobs, caps, fmt=args.fmt)
         sys.stdout.write(output)
         return code

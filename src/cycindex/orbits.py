@@ -4,6 +4,8 @@ Hypercube coordinates are 0-based.  The coordinate action is the left action
 sigma . (j_1,...,j_d) = (j_{sigma^-1(1)}, ..., j_{sigma^-1(d)}).  Points are
 scanned in lexicographic order and orbits flood-filled, so the first point of
 each orbit is automatically its lexicographically minimal representative.
+The H-orbit census walks the same ``action_table`` rows: each element of W,
+and of a subgroup H, acts on a point by one precomputed row of source indices.
 """
 
 from __future__ import annotations
@@ -132,19 +134,26 @@ def weighted_sum_g(W: PermGroup, chi: LinearCharacter, n: int,
 
 
 def h_orbit_census(table: OrbitTable, H: PermGroup) -> OrbitTable:
-    """Count H-orbits inside each W-orbit and check the index identity at the rep."""
+    """Count H-orbits inside each W-orbit and check the index identity at the rep.
+
+    Every element of W and of H acts through its row of ``action_table(W)``.
+    """
     W = table.group
     if not H.is_subgroup_of(W):
         raise ValueError("H is not a subgroup of W")
     index_WH = W.order // H.order
+    rows = action_table(W)
+    in_H = [g in H for g in W.elements]
+    h_rows = [row for row, inside in zip(rows, in_H) if inside]
     records = []
     for rec in table.records:
-        orbit = sorted({apply_perm(g, rec.rep) for g in W.elements})
-        remaining = set(orbit)
+        rep = rec.rep
+        images = [tuple([rep[i] for i in row]) for row in rows]
+        remaining = set(images)
         lengths = []
         while remaining:
             seed = min(remaining)
-            h_orbit = {apply_perm(h, seed) for h in H.elements}
+            h_orbit = {tuple([seed[i] for i in row]) for row in h_rows}
             lengths.append(len(h_orbit))
             remaining -= h_orbit
         if len(set(lengths)) != 1:
@@ -153,8 +162,8 @@ def h_orbit_census(table: OrbitTable, H: PermGroup) -> OrbitTable:
         if tau * h_len != rec.size:
             raise AssertionError("H-orbits do not partition the W-orbit")
         # |G:H| |H:H_i| = |G:G_i| |G_i:H_i| at the representative
-        stab = stabilizer_elements(W, rec.rep)
-        h_stab_order = sum(1 for g in stab if g in H)
+        stab = [k for k, q in enumerate(images) if q == rep]
+        h_stab_order = sum(1 for k in stab if in_H[k])
         lhs = index_WH * (H.order // h_stab_order)
         rhs = rec.size * (len(stab) // h_stab_order)
         if lhs != rhs:

@@ -36,7 +36,7 @@ class Permutation:
         inv = [0] * self.degree
         for s, t in enumerate(self.images, start=1):
             inv[t - 1] = s
-        return Permutation(tuple(inv))
+        return _trusted(tuple(inv))
 
     def is_identity(self) -> bool:
         return all(t == s for s, t in enumerate(self.images, start=1))
@@ -72,6 +72,14 @@ class Permutation:
         return f"Permutation[{self.degree}]{self.cycle_string()}"
 
 
+def _trusted(images: tuple[int, ...]) -> Permutation:
+    """A Permutation built without the bijection check, for images that are one by
+    construction (products and inverses of checked permutations)."""
+    p = object.__new__(Permutation)
+    object.__setattr__(p, "images", images)
+    return p
+
+
 def identity(degree: int) -> Permutation:
     return Permutation(tuple(range(1, degree + 1)))
 
@@ -80,7 +88,8 @@ def compose(a: Permutation, b: Permutation) -> Permutation:
     """a after b: (compose(a, b))(s) = a(b(s))."""
     if a.degree != b.degree:
         raise ValueError(f"degree mismatch: {a.degree} != {b.degree}")
-    return Permutation(tuple(a.images[t - 1] for t in b.images))
+    first = a.images
+    return _trusted(tuple([first[t - 1] for t in b.images]))
 
 
 def cycle_type(sigma: Permutation) -> tuple[int, ...]:

@@ -9,7 +9,7 @@ from cycindex import (Cyclotomic, compose, derived_subgroup,
                       sign_character, unit_character, wreath_character,
                       wreath_embed)
 from cycindex.characters import abelianization_exponent
-from cycindex.cli import EXIT_OK, JobSpec, run
+from cycindex.cli import EXIT_CAP, EXIT_OK, JobSpec, run
 from cycindex.grammar import parse_group
 
 
@@ -62,6 +62,16 @@ class TestEnumeration:
         code, out = run(JobSpec("characters", f"S({d})"))
         assert code == EXIT_OK and "2 linear character(s)" in out
         assert time.monotonic() - started < 60.0
+
+    def test_assignment_search_is_bounded_by_the_work_cap(self, run_cli):
+        # C2^12 has 2^12 generator assignments, each walking 4096 elements
+        expr = "C(2)"
+        for _ in range(11):
+            expr = f"product(C(2),{expr})"
+        # in a subprocess, so that an uncapped search fails by timing out
+        done = run_cli(["characters", "--group", expr], timeout=20)
+        assert done.returncode == EXIT_CAP
+        assert done.stdout.startswith("cap exceeded:") and done.stdout.count("\n") == 1
 
     def test_tables_are_pairwise_distinct(self, V4):
         chars = enumerate_linear_characters(V4)

@@ -281,3 +281,61 @@ class TestMain:
         assert code == EXIT_OK
         data = json.loads(capsys.readouterr().out)
         assert data["weight"] == 3
+
+
+class TestFailClosed:
+    @pytest.mark.parametrize("argv", [
+        ["cycle-index", "--group", "gen[99999999999]{(1 2)}"],
+        ["characters", "--group", "product(S(1)," * 1200 + "S(1)" + ")" * 1200],
+        ["characters", "--group", "S(3"],
+        ["verify", "--group", "product(S(2))", "--n", "1"],
+        ["cycle-index", "--group", "S(3)", "--char", "vals{(1 2):x}"],
+        ["orbits", "--group", "gen[0]{}", "--n", "1"],
+        ["gn", "--group", "S(3)", "--char", "index:9", "--n", "1"],
+    ])
+    def test_malformed_input_ends_in_one_line(self, run_cli, argv):
+        done = run_cli(argv)
+        assert done.returncode in (0, 1, 2, 3)
+        assert done.stdout.count("\n") == 1 and done.stdout.endswith("\n")
+        assert "Traceback" not in done.stdout + done.stderr
+
+    @pytest.mark.parametrize("exc,code,start", [
+        (AssertionError("orbit sizes do not\npartition"), EXIT_MISMATCH,
+         "internal error: AssertionError: orbit sizes do not partition"),
+        (TypeError("bad operand"), EXIT_MISMATCH, "internal error: TypeError: bad operand"),
+        (MemoryError(), EXIT_CAP, "cap exceeded: out of memory"),
+    ])
+    def test_unexpected_exception_becomes_one_line(self, monkeypatch, exc, code, start):
+        import cycindex.cli as cli
+
+        def broken(spec):
+            raise exc
+        monkeypatch.setattr(cli, "_dispatch", broken)
+        got, out = run(JobSpec("characters", "S(3)"))
+        assert got == code
+        assert out == start + "\n"
+
+    def test_suite_carries_on_after_an_internal_error(self, monkeypatch):
+        import cycindex.cli as cli
+        dispatch = cli._dispatch
+
+        def flaky(spec):
+            if spec.group_expr == "C(4)":
+                raise AssertionError("injected")
+            return dispatch(spec)
+        monkeypatch.setattr(cli, "_dispatch", flaky)
+        jobs = [{"command": "verify", "group": "C(4)", "char": "index:1", "n": 1},
+                {"command": "verify", "group": "S(3)", "char": "sign", "n": 1}]
+        code, out = run_suite(jobs, caps=cli.DEFAULT_CAPS)
+        assert code == EXIT_MISMATCH
+        lines = out.splitlines()
+        assert lines[0].startswith("FAIL  verify group=C(4)")
+        assert lines[1] == "      internal error: AssertionError: injected"
+        assert lines[2].startswith("ok    verify group=S(3)")
+        assert lines[3] == "suite: 1/2 jobs passed"
+
+    def test_default_catalog_over_the_work_cap_is_a_cap_hit(self, capsys):
+        code = main(["suite", "--cap", "10"])
+        out = capsys.readouterr().out
+        assert code == EXIT_CAP
+        assert out.startswith("cap exceeded:") and out.count("\n") == 1

@@ -123,7 +123,49 @@ class TestWeightedSum:
                     assert weighted_sum_g(G, chi, 0).is_zero()
 
 
+def census_by_apply_perm(table, H):
+    """Oracle: the census with every element applied through apply_perm."""
+    W = table.group
+    index_WH = W.order // H.order
+    records = []
+    for rec in table.records:
+        remaining = {apply_perm(g, rec.rep) for g in W}
+        lengths = []
+        while remaining:
+            h_orbit = {apply_perm(h, min(remaining)) for h in H}
+            lengths.append(len(h_orbit))
+            remaining -= h_orbit
+        assert len(set(lengths)) == 1 and len(lengths) * lengths[0] == rec.size
+        stab = [g for g in W if apply_perm(g, rec.rep) == rec.rep]
+        h_stab_order = sum(1 for g in stab if g in H)
+        assert index_WH * (H.order // h_stab_order) == \
+            rec.size * (len(stab) // h_stab_order)
+        records.append((rec.rep, len(lengths), lengths[0], h_stab_order,
+                        len(stab), rec.is_chi_orbit))
+    return records
+
+
 class TestCensus:
+    @pytest.mark.parametrize("expr,sel", [
+        ("S(3)", "sign"), ("A(4)", "unit"), ("C(4)", "index:1"),
+        ("D(4)", "index:1"), ("D(4)", "index:3"), ("product(S(2),S(2))", "index:2"),
+    ])
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_matches_apply_perm_census(self, expr, sel, n):
+        from cycindex.grammar import parse_character, parse_group
+        spec = parse_group(expr)
+        chi = parse_character(sel, spec)
+        if sel == "index:1" and expr == "C(4)":
+            assert chi.image_order() == 4  # faithful
+        W = spec.group
+        table = full_census(W, chi, n)
+        filtered = chi_orbit_filter(enumerate_orbits(W, n), chi)
+        expected = census_by_apply_perm(filtered, kernel(chi))
+        got = [(r.rep, r.tau_H, r.h_orbit_length, r.stabilizer_order, r.is_chi_orbit)
+               for r in table.records]
+        assert got == [(rep, tau, h_len, stab, flag)
+                       for rep, tau, h_len, _, stab, flag in expected]
+
     def test_s3_split_orbit(self, S3, A3):
         table = enumerate_orbits(S3, 2)
         table = h_orbit_census(table, A3)

@@ -66,6 +66,25 @@ class TestPermutation:
         b, c = Permutation(tuple(bi)), Permutation(tuple(ci))
         assert compose(compose(a, b), c) == compose(a, compose(b, c))
 
+    @given(perms.flatmap(lambda p: st.tuples(
+        st.just(p), st.permutations(list(range(1, p.degree + 1))))))
+    def test_products_and_inverses_match_checked_construction(self, pair):
+        # compose and inverse skip the bijection check; their results must
+        # behave exactly like permutations built through the checked constructor
+        a, bi = pair
+        b = Permutation(tuple(bi))
+        group = group_closure([a, b], degree=a.degree)
+        for built in (compose(a, b), a.inverse()):
+            checked = Permutation(tuple(built.images))
+            assert built == checked and hash(built) == hash(checked)
+            assert built in group and checked in group
+            assert group.index(built) == group.index(checked)
+        odd = Permutation(tuple(range(1, a.degree + 2)))
+        with pytest.raises(ValueError):
+            compose(a, odd)
+        with pytest.raises(ValueError):
+            compose(odd, a)
+
     def test_cycle_type(self):
         assert cycle_type(identity(3)) == (3, 0, 0)
         assert cycle_type(perm_from_cycles("(1 2 3 4)", 4)) == (0, 0, 0, 1)
