@@ -176,7 +176,7 @@ def _run_product(spec: JobSpec, group_spec: GroupSpec,
     from .perms import direct_product_embed
 
     second, theta = _second_pair(spec)
-    embedded = direct_product_embed(group_spec.group, second.group)
+    embedded = direct_product_embed(group_spec.group, second.group, spec.caps)
     lam = product_character(chi, theta, embedded)
     lhs = cycle_index(embedded, lam)
     rhs = psum_mul(cycle_index(group_spec.group, chi),

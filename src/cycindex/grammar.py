@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import re
 
-from .caps import Caps, DEFAULT_CAPS
+from .caps import Caps, CapExceeded, DEFAULT_CAPS
 from .characters import (LinearCharacter, enumerate_linear_characters,
                          product_character, sign_character, unit_character,
                          wreath_character)
@@ -54,18 +54,26 @@ _CALL_RE = re.compile(r"^(product|wreath)\((.*)\)$", re.DOTALL)
 _KIND_NAMES = {"S": "symmetric", "A": "alternating", "C": "cyclic", "D": "dihedral"}
 
 
+def _degree(digits: str, caps: Caps) -> int:
+    """The degree of an expression, checked against the work cap before anything is built."""
+    digits = digits.lstrip("0") or "0"
+    if len(digits) > len(str(caps.orbit_work)) or int(digits) > caps.orbit_work:
+        raise CapExceeded(f"degree {digits} exceeds work cap {caps.orbit_work}")
+    return int(digits)
+
+
 def parse_group(text: str, caps: Caps = DEFAULT_CAPS) -> GroupSpec:
     src = text.strip()
     m = _NAMED_RE.match(src)
     if m:
-        letter, d = m.group(1), int(m.group(2))
+        letter, d = m.group(1), _degree(m.group(2), caps)
         try:
             return GroupSpec(src, named_group(_KIND_NAMES[letter], d, caps=caps))
         except ValueError as exc:
             raise SpecError(str(exc)) from None
     m = _GEN_RE.match(src)
     if m:
-        d, body = int(m.group(1)), m.group(2).strip()
+        d, body = _degree(m.group(1), caps), m.group(2).strip()
         try:
             gens = [perm_from_cycles(part.strip(), d)
                     for part in _split_top_level(body) if part.strip()]
@@ -81,7 +89,7 @@ def parse_group(text: str, caps: Caps = DEFAULT_CAPS) -> GroupSpec:
         first = parse_group(parts[0], caps=caps)
         second = parse_group(parts[1], caps=caps)
         if op == "product":
-            group = direct_product_embed(first.group, second.group)
+            group = direct_product_embed(first.group, second.group, caps=caps)
         else:
             group = wreath_embed(first.group, second.group, caps=caps)
         return GroupSpec(src, group, parts=(first, second), kind=op)

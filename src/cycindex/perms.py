@@ -215,11 +215,20 @@ def _greedy_closure(candidates: Iterable[Permutation], degree: int, caps: Caps
     return gens, ordered
 
 
+def _check_table(order: int, degree: int, caps: Caps) -> None:
+    """CapExceeded unless a table of ``order`` elements of this degree fits the caps."""
+    if order > caps.group_order:
+        raise CapExceeded(f"group order exceeds cap {caps.group_order}")
+    if order * degree > caps.orbit_work:
+        raise CapExceeded(f"group elements times degree exceed work cap {caps.orbit_work}")
+
+
 def _bfs_order(generators: Sequence[Permutation], degree: int, caps: Caps) -> list[Permutation]:
     """Deterministic element order: breadth-first products in generator order.
 
     Raises CapExceeded as soon as the group would have more than
-    ``caps.group_order`` elements.
+    ``caps.group_order`` elements, or its element table more than
+    ``caps.orbit_work`` entries (elements times degree).
     """
     start = identity(degree)
     order = [start]
@@ -231,8 +240,7 @@ def _bfs_order(generators: Sequence[Permutation], degree: int, caps: Caps) -> li
             for g in generators:
                 p = compose(e, g)
                 if p not in seen:
-                    if len(order) >= caps.group_order:
-                        raise CapExceeded(f"group order exceeds cap {caps.group_order}")
+                    _check_table(len(order) + 1, degree, caps)
                     seen.add(p)
                     order.append(p)
                     nxt.append(p)
@@ -288,9 +296,10 @@ def embed_pair(sigma: Permutation, tau: Permutation, d: int, r: int) -> Permutat
     return Permutation(tuple(sigma.images) + tuple(t + d for t in tau.images))
 
 
-def direct_product_embed(W: PermGroup, V: PermGroup) -> PermGroup:
+def direct_product_embed(W: PermGroup, V: PermGroup, caps: Caps = DEFAULT_CAPS) -> PermGroup:
     """W x V inside S_{d+r}: s -> sigma(s) for s <= d, d+t -> d+tau(t)."""
     d, r = W.degree, V.degree
+    _check_table(W.order * V.order, d + r, caps)
     elements = [embed_pair(s, t, d, r) for s in W.elements for t in V.elements]
     gens = [embed_pair(g, identity(r), d, r) for g in W.generators]
     gens += [embed_pair(identity(d), g, d, r) for g in V.generators]
@@ -329,6 +338,7 @@ def wreath_embed(V: PermGroup, W: PermGroup, caps: Caps = DEFAULT_CAPS) -> PermG
     generators permuting the blocks; the order must come out as |V|^d * |W|.
     """
     r, d = V.degree, W.degree
+    _check_table(d * len(V.generators) + len(W.generators), d * r, caps)
     gens = [_in_block_perm(v, block, d) for block in range(1, d + 1) for v in V.generators]
     gens += [_block_perm(w, r) for w in W.generators]
     group = group_closure(gens, degree=d * r, caps=caps)

@@ -3,13 +3,22 @@
 The module basis is indexed by the points of [0,n]^d; the group acts by
 permuting points, twisted by an optional cocycle family gamma.  The character
 alpha and gamma are carried as exponents of roots of unity, so every entry of
-|G| a_alpha is a sum of powers of zeta_m with m = lcm(order of alpha, order of
-gamma): an element of Z[zeta_m].  Matrices are kept as sparse columns of such
-integer entries (``CyclotomicIntegers``) over the common denominator |G|, and
-all checks run on integer additions and multiplications; values become
-``Cyclotomic`` only when they leave the module (``entry``, ``trace``).  Rank
-uses division-free exact elimination (columns are rescaled by pivots, which
-preserves rank over the field of fractions).
+|G| a_alpha is a sum of powers of zeta_m, m = lcm(order of alpha, order of
+gamma): counting the powers gives an element of the group ring
+Z[C_m] = Z[x]/(x^m - 1), which maps onto Z[zeta_m] by x -> zeta_m.
+
+A column is supported on the orbit of its index and packs into one int
+(Kronecker substitution): the count of x^k in orbit-local row t sits at bit
+B (t 2m + k), B = bitlen(|G|^2) + 1.  The counts of a column of the square
+sum to |G|^2, so no slot carries, and the stride 2m holds the linear
+convolution of two entries; ``(S & mask) + ((S >> m B) & mask)`` then folds
+x^m = 1 into every entry.  Idempotence, annihilation and kernel membership
+compare packed ints.  Equality in Z[zeta_m] is equality modulo Phi_m
+(1 + x + x^2 = 0 when m = 3), so where two ints differ their entries are
+compared in the power basis of ``CyclotomicIntegers``, which also serves zero
+tests, rank and trace; values become ``Cyclotomic`` only on output (``entry``,
+``trace``).  Rank uses division-free exact elimination (columns are rescaled
+by pivots, which preserves rank over the field of fractions).
 """
 
 from __future__ import annotations
@@ -129,20 +138,80 @@ class MonomialModule:
         return reps, rep_of, via
 
 
-class SparseMatrix:
-    """Square matrix over Q(zeta_m): sparse columns over Z[zeta_m] and one denominator.
+class _Packing:
+    """Orbit-local layout of packed group-ring columns over Z[C_m] (module docstring)."""
 
-    Column entries are elements of ``ring``; the matrix is cols / denominator.
-    Matrices that are multiplied or compared share the same ring.
+    def __init__(self, rep_of: dict[int, int], dim: int, order: int,
+                 ring: CyclotomicIntegers):
+        m = ring.m
+        self.ring = ring
+        self.B = B = (order * order).bit_length() + 1
+        self.stride = 2 * m * B
+        self.entry_mask = (1 << (m * B)) - 1
+        orbits: dict[int, list[int]] = {}
+        self.offset = []  # point -> bit offset of its orbit-local row
+        for i in range(dim):
+            orbit = orbits.setdefault(rep_of[i], [])
+            self.offset.append(len(orbit) * self.stride)
+            orbit.append(i)
+        self.orbit_of = [orbits[rep_of[i]] for i in range(dim)]
+        rows = max(map(len, orbits.values()), default=0)
+        self.fold_mask = sum(self.entry_mask << (t * self.stride) for t in range(rows))
+        slot = (1 << B) - 1
+        seen: dict[int, object] = {}  # packed entry -> its value; equal entries share one
+
+        def value(e):
+            v = seen.get(e)
+            if v is None:
+                v = ring.zero
+                for k, power in enumerate(ring.powers):
+                    v = ring.add(v, ring.scale(power, (e >> k * B) & slot))
+                seen[e] = v
+            return v
+        self.value = value
+
+    def fold(self, S: int) -> int:
+        """Reduce every entry of S from slots 0..2m-2 to 0..m-1 with x^m = 1."""
+        mask = self.fold_mask
+        return (S & mask) + ((S >> (self.stride >> 1)) & mask)
+
+    def reduce(self, P: int, orbit: list[int]) -> Column:
+        """The packed column P in the power basis of Z[zeta_m], zeros dropped."""
+        value, nonzero = self.value, self.ring.nonzero
+        emask, stride = self.entry_mask, self.stride
+        col: Column = {}
+        for row in orbit:
+            if not P:
+                break
+            v = value(P & emask)
+            if nonzero(v):
+                col[row] = v
+            P >>= stride
+        return col
+
+    def equal(self, P: int, Q: int, orbit: list[int]) -> bool:
+        """Equality in Z[zeta_m]: as ints, or else entry by entry modulo Phi_m."""
+        return P == Q or self.reduce(P, orbit) == self.reduce(Q, orbit)
+
+
+class SparseMatrix:
+    """|G| a_alpha as packed group-ring columns, with the denominator |G|.
+
+    ``packed[j]`` is column j in the layout of ``packing``; ``cols`` holds the
+    same columns in the power basis of Z[zeta_m] with zeros dropped, for rank,
+    trace and output.  ``release()`` drops the packed columns.
     """
 
-    def __init__(self, dim: int, ring: CyclotomicIntegers, cols: list[Column],
-                 denominator: int = 1):
+    def __init__(self, dim: int, packing: _Packing, packed: list[int], denominator: int):
         self.dim = dim
-        self.ring = ring
+        self.ring = packing.ring
+        self.packing = packing
+        self.packed = packed
         self.denominator = denominator
-        nonzero = ring.nonzero
-        self.cols = [{r: v for r, v in col.items() if nonzero(v)} for col in cols]
+        self.cols = [packing.reduce(P, orbit) for P, orbit in zip(packed, packing.orbit_of)]
+
+    def release(self) -> None:
+        self.packed = self.packing = None
 
     @property
     def nnz(self) -> int:
@@ -161,37 +230,10 @@ class SparseMatrix:
                 total = ring.add(total, v)
         return ring.to_cyclotomic(total, self.denominator)
 
-    def apply(self, vector: Column) -> Column:
-        """cols times the vector, without the denominator."""
-        add, mul = self.ring.add, self.ring.mul
-        out: Column = {}
-        for col_idx, coeff in vector.items():
-            for row, value in self.cols[col_idx].items():
-                prev = out.get(row)
-                term = mul(coeff, value)
-                out[row] = term if prev is None else add(prev, term)
-        nonzero = self.ring.nonzero
-        return {r: v for r, v in out.items() if nonzero(v)}
-
-    def matmul(self, other: "SparseMatrix") -> "SparseMatrix":
-        return SparseMatrix(self.dim, self.ring, [self.apply(col) for col in other.cols],
-                            self.denominator * other.denominator)
-
-    def __eq__(self, other):
-        if not isinstance(other, SparseMatrix):
-            return NotImplemented
-        if self.dim != other.dim:
-            return False
-        # a / s = b / t  <=>  a t = b s
-        scale, s, t = self.ring.scale, self.denominator, other.denominator
-        for a, b in zip(self.cols, other.cols):
-            if a.keys() != b.keys():
-                return False
-            if any(scale(a[r], t) != scale(b[r], s) for r in a):
-                return False
-        return True
-
-    __hash__ = None
+    def rotated_equals(self, j: int, k: int, i: int) -> bool:
+        """zeta^k A[:, j] == A[:, i] in Z[zeta_m]; j and i share an orbit."""
+        pk = self.packing
+        return pk.equal(pk.fold(self.packed[j] << (k * pk.B)), self.packed[i], pk.orbit_of[i])
 
     def rank(self) -> int:
         return rank_of_columns(self.cols, self.ring)
@@ -221,25 +263,42 @@ def rank_of_columns(columns: list[Column], ring: CyclotomicIntegers) -> int:
 
 
 def build_projector(M: MonomialModule, alpha: LinearCharacter,
-                    twist: tuple[CyclotomicIntegers, list[list[int]]] | None = None
+                    twist: tuple[CyclotomicIntegers, list[list[int]]] | None = None,
+                    transversal: tuple[list[int], dict[int, int], dict[int, int]] | None = None
                     ) -> SparseMatrix:
     """a_alpha = |G|^-1 sum over g of alpha(g) g, as a matrix in the v_i basis.
 
     The columns hold |G| a_alpha, whose entries are sums of roots of unity.
-    ``twist`` is ``M.twist(alpha)`` when the caller has it.
+    ``twist`` and ``transversal`` are ``M.twist(alpha)`` and
+    ``M.orbit_transversal()`` when the caller has them.
     """
     ring, weights = twist or M.twist(alpha)
-    add, roots = ring.add, ring.powers
-    cols: list[Column] = [{} for _ in range(M.dim)]
+    _, rep_of, _ = transversal or M.orbit_transversal()
+    packing = _Packing(rep_of, M.dim, M.group.order, ring)
+    B, offset = packing.B, packing.offset
+    packed = [0] * M.dim
     for pm, w in zip(M.point_map, weights):
-        for col, row, k in zip(cols, pm, w):
-            prev = col.get(row)
-            col[row] = roots[k] if prev is None else add(prev, roots[k])
-    return SparseMatrix(M.dim, ring, cols, M.group.order)
+        packed = [P + (1 << (offset[row] + k * B)) for P, row, k in zip(packed, pm, w)]
+    return SparseMatrix(M.dim, packing, packed, M.group.order)
 
 
 def check_idempotent(A: SparseMatrix) -> bool:
-    return A.matmul(A) == A
+    """A A = |G| A: column j of A A is the sum over l of column l times entry
+    (l, j), one big-int product per term, folded and compared with |G| A[:, j]."""
+    pk, packed, scale = A.packing, A.packed, A.denominator
+    emask, stride = pk.entry_mask, pk.stride
+    for Pj, orbit in zip(packed, pk.orbit_of):
+        S, rest = 0, Pj
+        for l in orbit:
+            if not rest:
+                break
+            e = rest & emask
+            if e:
+                S += packed[l] * e
+            rest >>= stride
+        if not pk.equal(pk.fold(S), scale * Pj, orbit):
+            return False
+    return True
 
 
 def check_annihilation(M: MonomialModule, alpha: LinearCharacter,
@@ -252,8 +311,9 @@ def check_annihilation(M: MonomialModule, alpha: LinearCharacter,
     whole group multiplicatively; it makes every difference alpha^-1(g) z - g z
     a kernel element.  Column i of a_alpha g is gamma_i(g) times column g.i of
     a_alpha, so the relation reads alpha(g) gamma_i(g) A[:, g.i] = A[:, i],
-    compared entry by entry.  ``twist`` and ``qualifying`` are ``M.twist(alpha)``
-    and the set of ``M.qualifying_indices(alpha)`` when the caller has them.
+    compared column by column.  ``twist`` and ``qualifying`` are
+    ``M.twist(alpha)`` and the set of ``M.qualifying_indices(alpha)`` when the
+    caller has them.
     """
     twist = twist or M.twist(alpha)
     ring, weights = twist
@@ -264,12 +324,10 @@ def check_annihilation(M: MonomialModule, alpha: LinearCharacter,
     for i in range(M.dim):
         if i not in qualifying and A.cols[i]:
             return False
-    mul = ring.mul
     for g in M.group.generators:
         gi = M.group.index(g)
         for i, (j, k) in enumerate(zip(M.point_map[gi], weights[gi])):
-            root = ring.root(k)
-            if {r: mul(root, v) for r, v in A.cols[j].items()} != A.cols[i]:
+            if not A.rotated_equals(j, k, i):
                 return False
     return True
 
@@ -315,36 +373,33 @@ def verify_basis_prop(M: MonomialModule, alpha: LinearCharacter) -> BasisReport:
     twist = M.twist(alpha)
     ring, weights = twist
     qualifying = set(M.qualifying_indices(alpha, weights))
-    A = build_projector(M, alpha, twist)
+    transversal = M.orbit_transversal()
+    reps, rep_of, via = transversal
+    A = build_projector(M, alpha, twist, transversal)
     idempotent = check_idempotent(A)
     annihilation_ok = check_annihilation(M, alpha, A, twist, qualifying)
-    trace = A.trace()
-    rank = A.rank()
 
-    reps, rep_of, via = M.orbit_transversal()
+    # families (1.2.4) and (1.2.5): differences v_rep - zeta^k v_i along the
+    # transversal plus the excluded representatives; they must lie in
+    # ker a_alpha and span dim - |J|.  A v = 0 reads A[:, rep] = zeta^k A[:, i].
     J = [i for i in reps if i in qualifying]
     J0 = [i for i in reps if i not in qualifying]
+    def steps():
+        for i in range(M.dim):
+            rep = rep_of[i]
+            if i != rep:
+                yield rep, i, weights[via[i]][rep]
 
-    image_cols = [A.cols[j] for j in J]
-    independent = rank_of_columns(image_cols, ring) == len(J)
+    kernel_ok = (not any(A.cols[i] for i in J0)
+                 and all(A.rotated_equals(i, k, rep) for rep, i, k in steps()))
+    A.release()
 
-    # families (1.2.4) and (1.2.5): differences along the transversal plus the
-    # excluded representatives; they must lie in ker a_alpha and span dim - |J|
-    kernel_cols: list[Column] = []
-    kernel_ok = True
-    for i in range(M.dim):
-        rep = rep_of[i]
-        if i == rep:
-            continue
-        factor = ring.root(weights[via[i]][rep])
-        kernel_cols.append({rep: ring.one, i: ring.scale(factor, -1)})
-    for i in J0:
-        kernel_cols.append({i: ring.one})
-    for vec in kernel_cols:
-        if A.apply(vec):
-            kernel_ok = False
-            break
+    trace = A.trace()
+    rank = A.rank()
+    independent = rank_of_columns([A.cols[j] for j in J], ring) == len(J)
     if kernel_ok:
+        kernel_cols = [{rep: ring.one, i: ring.scale(ring.root(k), -1)} for rep, i, k in steps()]
+        kernel_cols += [{i: ring.one} for i in J0]
         kernel_ok = rank_of_columns(kernel_cols, ring) == M.dim - len(J)
 
     ok = (idempotent and annihilation_ok and independent and kernel_ok

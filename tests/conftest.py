@@ -20,10 +20,10 @@ def run_cli():
     """Run ``python -m cycindex ARGV`` in a fresh interpreter with 1 GiB of address space."""
     env = dict(os.environ, PYTHONPATH=str(Path(cycindex.__file__).resolve().parent.parent))
 
-    def run(argv, timeout=120):
+    def run(argv, timeout=120, extra_env=None):
         return subprocess.run([sys.executable, "-m", "cycindex", *argv],
-                              capture_output=True, text=True, env=env, timeout=timeout,
-                              preexec_fn=_limit_address_space)
+                              capture_output=True, text=True, env={**env, **(extra_env or {})},
+                              timeout=timeout, preexec_fn=_limit_address_space)
     return run
 
 

@@ -299,6 +299,18 @@ class TestFailClosed:
         assert done.stdout.count("\n") == 1 and done.stdout.endswith("\n")
         assert "Traceback" not in done.stdout + done.stderr
 
+    def test_work_cap_bounds_group_closure(self, run_cli):
+        done = run_cli(["characters", "--group", "C(1000)"],
+                       extra_env={"CYCINDEX_WORK_CAP": "100000"})
+        assert done.returncode == EXIT_CAP
+        assert done.stdout == "cap exceeded: group elements times degree exceed work cap 100000\n"
+
+    def test_degree_above_the_work_cap_is_rejected_before_building(self, run_cli):
+        done = run_cli(["cycle-index", "--group", "gen[99999999999]{(1 2)}"])
+        assert done.returncode == EXIT_CAP
+        assert done.stdout.startswith("cap exceeded: degree 99999999999 exceeds work cap")
+        assert done.stdout.count("\n") == 1 and "out of memory" not in done.stdout
+
     @pytest.mark.parametrize("exc,code,start", [
         (AssertionError("orbit sizes do not\npartition"), EXIT_MISMATCH,
          "internal error: AssertionError: orbit sizes do not partition"),

@@ -122,6 +122,20 @@ class TestClosure:
         with pytest.raises(CapExceeded, match="^group order exceeds cap 5$"):
             group_closure(gens, caps=Caps(group_order=5))
 
+    def test_element_table_work_cap_boundary(self):
+        # C(10): 10 elements of degree 10 fill a table of exactly 100 entries
+        gens = [perm_from_cycles("(1 2 3 4 5 6 7 8 9 10)", 10)]
+        assert group_closure(gens, caps=Caps(orbit_work=100)).order == 10
+        with pytest.raises(CapExceeded, match="^group elements times degree exceed work cap 99$"):
+            group_closure(gens, caps=Caps(orbit_work=99))
+
+    def test_direct_product_is_capped_before_it_is_built(self, S3):
+        assert direct_product_embed(S3, S3, Caps(group_order=36, orbit_work=216)).order == 36
+        with pytest.raises(CapExceeded, match="^group order exceeds cap 35$"):
+            direct_product_embed(S3, S3, Caps(group_order=35))
+        with pytest.raises(CapExceeded, match="work cap 215$"):
+            direct_product_embed(S3, S3, Caps(orbit_work=215))
+
     @pytest.mark.parametrize("cycles", [
         ["", "(1 2 3)"],  # no inverse of (1 2 3); "" is the identity
         ["(1 2)"],  # no identity

@@ -11,7 +11,32 @@ from cycindex.caps import CapExceeded, Caps
 from cycindex.cli import _tampered
 from cycindex.cyclo import CyclotomicIntegers
 from cycindex.orbits import apply_perm
-from cycindex.projector import rank_of_columns
+from cycindex.projector import (SparseMatrix, _Packing, check_idempotent,
+                                rank_of_columns)
+
+
+def entrywise_product(A, B):
+    """Columns of A B over Z[zeta_m], entry by entry in the power basis (denominators apart)."""
+    add, mul, nonzero = A.ring.add, A.ring.mul, A.ring.nonzero
+    product = []
+    for vector in B.cols:
+        out = {}
+        for col_idx, coeff in vector.items():
+            for row, value in A.cols[col_idx].items():
+                prev = out.get(row)
+                term = mul(coeff, value)
+                out[row] = term if prev is None else add(prev, term)
+        product.append({r: v for r, v in out.items() if nonzero(v)})
+    return product
+
+
+def entrywise_idempotent(A):
+    """Oracle for check_idempotent: (cols / s)^2 == cols / s, i.e. cols^2 == s cols."""
+    scale, s = A.ring.scale, A.denominator
+    for a, b in zip(entrywise_product(A, A), A.cols):
+        if a.keys() != b.keys() or any(a[r] != scale(b[r], s) for r in a):
+            return False
+    return True
 
 
 class TestProjectorMatrix:
@@ -43,7 +68,7 @@ class TestProjectorMatrix:
         M = MonomialModule(S3, 1)
         for chi in enumerate_linear_characters(S3):
             A = build_projector(M, chi)
-            assert A.matmul(A) == A
+            assert entrywise_idempotent(A) and check_idempotent(A)
 
     def test_dimension_cap(self, S4):
         with pytest.raises(CapExceeded):
@@ -82,6 +107,74 @@ class TestDefinitionOracle:
                     for c in range(M.dim):
                         want = expected.get((r, c), Cyclotomic.zero())
                         assert A.entry(r, c) == want, (G, alpha, r, c)
+
+
+class TestPackedArithmetic:
+    """Packed Z[C_m] columns: equality is modulo Phi_m, not equality of the ints."""
+
+    @staticmethod
+    def _packing(m, rows=1, order=4):
+        return _Packing({i: 0 for i in range(rows)}, rows, order, CyclotomicIntegers(m))
+
+    @staticmethod
+    def _pack(pk, *rows):
+        """Column with entry sum c_k x^k in row t, given as count lists."""
+        return sum(c << (t * pk.stride + k * pk.B)
+                   for t, counts in enumerate(rows) for k, c in enumerate(counts))
+
+    @pytest.mark.parametrize("m,counts", [(3, [1, 1, 1]), (4, [1, 0, 1]), (2, [1, 1])])
+    def test_zero_of_the_field_compares_equal_to_zero(self, m, counts):
+        pk = self._packing(m)
+        packed = self._pack(pk, counts)
+        assert packed != 0 and pk.equal(packed, 0, [0]) and pk.equal(0, packed, [0])
+        assert pk.reduce(packed, [0]) == {}
+
+    @pytest.mark.parametrize("m,left,right", [
+        (3, [1, 1, 0], [0, 0, 0]), (4, [1, 1, 0, 0], [0, 0, 0, 0]), (2, [1, 0], [0, 1]),
+        (3, [2, 1, 1], [0, 0, 0]),
+    ])
+    def test_unequal_values_compare_unequal(self, m, left, right):
+        pk = self._packing(m)
+        assert not pk.equal(self._pack(pk, left), self._pack(pk, right), [0])
+
+    def test_rows_are_compared_separately(self):
+        pk = self._packing(3, rows=2)
+        one_x = self._pack(pk, [1, 1, 1], [0, 1, 0])   # (0, zeta)
+        assert pk.equal(one_x, self._pack(pk, [0, 0, 0], [0, 1, 0]), [0, 1])
+        assert not pk.equal(one_x, self._pack(pk, [0, 1, 0], [0, 0, 0]), [0, 1])
+
+    def test_fold_applies_x_to_the_m_equals_one(self):
+        pk = self._packing(3, rows=2)
+        # x^3 + 2 x^4 in row 0 and x^2 in row 1 fold to 1 + 2x and x^2
+        S = (1 << 3 * pk.B) + (2 << 4 * pk.B) + (1 << pk.stride + 2 * pk.B)
+        assert pk.fold(S) == self._pack(pk, [1, 2, 0], [0, 0, 1])
+
+    def test_idempotence_falls_back_to_the_field(self):
+        # 1 + x + x^2 is 0 in Z[zeta_3]: its square 3(1 + x + x^2) differs as an
+        # int but is 0 too, so the 1x1 matrix is idempotent; 1 + x is not
+        pk = self._packing(3, order=3)
+        zero = SparseMatrix(1, pk, [self._pack(pk, [1, 1, 1])], 1)
+        assert zero.cols == [{}] and check_idempotent(zero)
+        pk = self._packing(3, order=3)
+        assert not check_idempotent(SparseMatrix(1, pk, [self._pack(pk, [1, 1, 0])], 1))
+
+    def test_check_idempotent_matches_the_entrywise_oracle(self):
+        groups = [named_group("symmetric", 3), named_group("cyclic", 4),
+                  named_group("dihedral", 4), named_group("alternating", 4)]
+        modules = [(G, MonomialModule(G, n)) for G in groups for n in (0, 1, 2)]
+        modules += [(groups[0], random_gamma_family(groups[0], n, seed=seed))
+                    for n in (1, 2) for seed in (3, 11)]
+        verdicts = []
+        for G, M in modules:
+            for chi in enumerate_linear_characters(G):
+                for alpha in (chi, _tampered(chi)):
+                    A = build_projector(M, alpha)
+                    verdict = check_idempotent(A)
+                    assert verdict == entrywise_idempotent(A), (G, M.n, alpha)
+                    if alpha is chi:
+                        assert verdict, (G, M.n, chi)
+                    verdicts.append(verdict)
+        assert not all(verdicts)  # the tampered copies do fail
 
 
 class TestNegativeControl:
