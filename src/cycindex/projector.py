@@ -316,7 +316,7 @@ def check_annihilation(M: MonomialModule, alpha: LinearCharacter,
     caller has them.
     """
     twist = twist or M.twist(alpha)
-    ring, weights = twist
+    _, weights = twist
     if A is None:
         A = build_projector(M, alpha, twist)
     if qualifying is None:

@@ -4,7 +4,7 @@ Random group expressions (degrees 0-8, nested ``product``/``wreath``, cycle
 lists with out-of-range and repeated points, malformed brackets) and random
 character selectors (``unit``, ``sign``, ``index:k``, ``vals{...}``, compound
 ``(x)`` selectors, junk) must end in exit code 0, 1, 2 or 3, never in an
-exception, and every nonzero exit must be one line.  Small caps keep every
+exception or an internal error, and every nonzero exit must be one line.  Small caps keep every
 group and module tiny, so nothing large is built in process.
 """
 
