@@ -3,16 +3,22 @@
 Character values are roots of unity and are stored as exponents k modulo a
 shared order m, so the value at g is zeta_m^k.  Cyclotomic objects are only
 materialized when values enter polynomial coefficients.
+
+Homomorphism checks are lookups in the group's right-multiplication table.
+The linear characters are read off the abelianized relators of a BFS over
+that table: the Hermite form of their lattice, modulo the exponent m of
+G/[G,G], lists Hom(G/[G,G], Z/m) by back-substitution, and each solution is
+extended to a value table with every (element, generator) edge checked.
 """
 
 from __future__ import annotations
 
-from itertools import product as iter_product
 from math import gcd, lcm
+from operator import sub
 
 from .caps import Caps, CapExceeded, DEFAULT_CAPS
 from .cyclo import Cyclotomic
-from .perms import (PermGroup, Permutation, compose, cycle_type,
+from .perms import (PermGroup, Permutation, _right_mul, cycle_type,
                     decompose_wreath_element, derived_subgroup,
                     direct_product_embed, split_product_element)
 
@@ -70,14 +76,19 @@ def validate_homomorphism(chi: LinearCharacter) -> None:
     """Check chi(x g) = chi(x) chi(g) for every element x and generator g.
 
     This suffices: the relation extends to arbitrary pairs by induction on the
-    generator word length of the second factor.
+    generator word length of the second factor.  Each check is one lookup in
+    the group's right-multiplication table.
     """
-    G, m = chi.group, chi.order_m
-    for x in G.elements:
-        ex = chi.exponent(x)
-        for g in G.generators:
-            if (chi.exponent(compose(x, g)) - ex - chi.exponent(g)) % m != 0:
-                raise ValueError(f"not a homomorphism at ({x!r}, {g!r})")
+    G, m, table = chi.group, chi.order_m, chi.exponents
+    failures = []
+    for k, row in enumerate(G.right):
+        e = table[G.index(G.generators[k])]
+        if list(map(table.__getitem__, row)) != [(v + e) % m for v in table]:
+            i = next(i for i, j in enumerate(row) if table[j] != (table[i] + e) % m)
+            failures.append((i, k))
+    if failures:
+        i, k = min(failures)
+        raise ValueError(f"not a homomorphism at ({G.elements[i]!r}, {G.generators[k]!r})")
 
 
 def unit_character(G: PermGroup) -> LinearCharacter:
@@ -97,10 +108,10 @@ def sign_character(G: PermGroup) -> LinearCharacter:
 def abelianization_exponent(G: PermGroup, derived: PermGroup) -> int:
     """Exponent of G/[G,G]: the lcm over g in G of the least t >= 1 with g^t in [G,G]."""
     m = 1
-    for g in G.elements:
-        power, t = g, 1
-        while power not in derived:
-            power = compose(power, g)
+    for g in G.images:
+        power, t, times_g = g, 1, _right_mul(g)
+        while power not in derived.image_index:
+            power = times_g(power)
             t += 1
         m = lcm(m, t)
     return m
@@ -110,24 +121,26 @@ def enumerate_linear_characters(G: PermGroup, caps: Caps = DEFAULT_CAPS
                                 ) -> list[LinearCharacter]:
     """All linear characters of G, deterministically ordered, unit character first.
 
-    Each of the m^#gens generator assignments walks the group once, so that
-    search is bounded by the work cap.
+    They are the |G/[G,G]| solutions of the relator lattice modulo m
+    (``relator_hermite_form``), each extended along the group table, so the
+    search is bounded up front by |G/[G,G]| * |G| * #gens against the work cap.
+    The count is checked against the derived-subgroup closure and every
+    character by ``validate_homomorphism``.
     """
     derived = derived_subgroup(G, caps=caps)
     expected = G.order // derived.order
-    m = abelianization_exponent(G, derived)
-    gens = G.generators
-    work = m ** len(gens) * G.order * len(gens)
+    work = expected * G.order * len(G.generators)
     if work > caps.orbit_work:
-        raise CapExceeded(f"m^#gens * |G| * #gens = {work} for the character search "
+        raise CapExceeded(f"|G/[G,G]| * |G| * #gens = {work} for the character search "
                           f"exceeds work cap {caps.orbit_work}")
-    found: list[tuple[int, ...]] = []
-    seen: set[tuple[int, ...]] = set()
-    for assignment in iter_product(range(m), repeat=len(gens)):
-        table = _extend_to_group(G, gens, assignment, m)
-        if table is not None and table not in seen:
-            seen.add(table)
-            found.append(table)
+    m = abelianization_exponent(G, derived)
+    tree = _spanning_tree(G)
+    found = []
+    for assignment in _lattice_solutions(relator_hermite_form(G, m, tree), m):
+        table = _extend_to_group(G, assignment, m, tree)
+        if table is None:
+            raise AssertionError(f"lattice solution {assignment} does not extend to G")
+        found.append(table)
     if len(found) != expected:
         raise AssertionError(
             f"found {len(found)} characters, expected |G/[G,G]| = {expected}")
@@ -141,30 +154,116 @@ def enumerate_linear_characters(G: PermGroup, caps: Caps = DEFAULT_CAPS
     return out
 
 
-def _extend_to_group(G: PermGroup, gens, assignment, m) -> tuple[int, ...] | None:
-    """Extend generator exponents to the whole group along BFS words; None if inconsistent.
+def _spanning_tree(G: PermGroup) -> list[tuple[int, int, int]]:
+    """Edges (i, k, j), j = right[k][i], of a BFS tree over the table from the identity."""
+    right = G.right
+    reached = bytearray(G.order)
+    reached[0] = 1
+    walk, tree = [0], []
+    for i in walk:
+        for k, row in enumerate(right):
+            j = row[i]
+            if not reached[j]:
+                reached[j] = 1
+                walk.append(j)
+                tree.append((i, k, j))
+    if len(walk) != G.order:
+        raise ValueError("the generators do not generate the element list")
+    return tree
 
-    The walk compares every (element, generator) edge once, so a table it
-    returns satisfies chi(x g) = chi(x) chi(g) everywhere.
+
+def relator_hermite_form(G: PermGroup, m: int,
+                         tree: list[tuple[int, int, int]] | None = None) -> list[list[int]]:
+    """Hermite normal form, modulo m, of the abelianized relator lattice of G.
+
+    With w(x) the generator exponent sums of x's word along the spanning tree,
+    every table edge x g_k = y gives the relator w(x) + e_k - w(y) (0 on tree
+    edges).  These and m Z^#gens span a lattice L with Z^#gens / L = G/[G,G]
+    when m is a multiple of its exponent.  Row i is zero left of column i, its
+    pivot d_i at column i divides m, and the product of the pivots is |L's index|.
+    Words and relators are packed into ints, one slot per generator, so the
+    relators are formed and deduplicated in C loops.
     """
-    values: dict[Permutation, int] = {G.identity: 0}
-    frontier = [G.identity]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for g, e in zip(gens, assignment):
-                y = compose(x, g)
-                v = (values[x] + e) % m
-                if y in values:
-                    if values[y] != v:
-                        return None
-                else:
-                    values[y] = v
-                    nxt.append(y)
-        frontier = nxt
-    if len(values) != G.order:
-        return None
-    return tuple(values[g] for g in G.elements)
+    n, size = len(G.generators), G.order
+    if tree is None:
+        tree = _spanning_tree(G)
+    width = (2 * size).bit_length()  # slot values lie in [size - depth, size + depth + 1]
+    units = [1 << (width * k) for k in range(n)]
+    words = [0] * size
+    for i, k, j in tree:
+        words[j] = words[i] + units[k]
+    offset = size * sum(units)
+    packed: set[int] = set()
+    for unit, row in zip(units, G.right):
+        packed.update(map(sub, map((offset + unit).__add__, words), map(words.__getitem__, row)))
+    mask = (1 << width) - 1
+    relators = {tuple([((r >> (width * k) & mask) - size) % m for k in range(n)])
+                for r in packed}
+    rows = [[m if k == i else 0 for k in range(n)] for i in range(n)]
+    for v in relators:
+        _hermite_insert(rows, list(v), m)
+    return rows
+
+
+def _hermite_insert(rows: list[list[int]], v: list[int], m: int) -> None:
+    """Add v to the lattice spanned by the triangular rows, all entries mod m."""
+    for i in range(len(v)):
+        vi = v[i]
+        if vi == 0:
+            continue
+        h = rows[i]
+        d = h[i]
+        g, s, t = _extended_gcd(d, vi)
+        a, c = vi // g, d // g  # [[s, t], [a, -c]] has determinant -1: a basis change
+        rows[i] = [(s * x + t * y) % m for x, y in zip(h, v)]
+        rows[i][i] = g
+        v = [(a * x - c * y) % m for x, y in zip(h, v)]  # zero at column i
+
+
+def _extended_gcd(a: int, b: int) -> tuple[int, int, int]:
+    """(g, s, t) with g = gcd(a, b) = s a + t b."""
+    s0, s1, t0, t1 = 1, 0, 0, 1
+    while b:
+        q = a // b
+        a, b = b, a - q * b
+        s0, s1 = s1, s0 - q * s1
+        t0, t1 = t1, t0 - q * t1
+    return a, s0, t0
+
+
+def _lattice_solutions(rows: list[list[int]], m: int) -> list[tuple[int, ...]]:
+    """Every a in (Z/m)^n with row . a = 0 mod m for each row, by back-substitution.
+
+    Row i fixes d_i a_i mod m given a_{i+1..}; d_i divides the right side
+    (the rows are a Hermite basis of a lattice holding m Z^n), so each
+    partial solution extends in d_i ways, prod d_i in all.
+    """
+    n = len(rows)
+    tails: list[tuple[int, ...]] = [()]
+    for i in reversed(range(n)):
+        d, row = rows[i][i], rows[i][i + 1:]
+        step = m // d
+        extended = []
+        for tail in tails:
+            rhs = -sum(x * y for x, y in zip(row, tail)) % m
+            if rhs % d:
+                raise AssertionError(f"Hermite row {i} has no solution over {tail}")
+            extended += [(rhs // d + t * step,) + tail for t in range(d)]
+        tails = extended
+    return tails
+
+
+def _extend_to_group(G: PermGroup, assignment, m: int,
+                     tree: list[tuple[int, int, int]]) -> tuple[int, ...] | None:
+    """Extend generator exponents along the spanning tree; None unless every
+    (element, generator) edge of the table agrees."""
+    values = [0] * G.order
+    for i, k, j in tree:
+        values[j] = (values[i] + assignment[k]) % m
+    for e, row in zip(assignment, G.right):
+        if list(map(values.__getitem__, row)) != [(v + e) % m for v in values]:
+            return None
+    return tuple(values)
 
 
 def kernel(chi: LinearCharacter) -> PermGroup:

@@ -1,16 +1,24 @@
 """Permutations on {1,...,d} and permutation groups stored as explicit element lists.
 
 Every group is closed by one capped breadth-first walk, ``_bfs_order``, which
-also fixes the element order.  Points are 1-based throughout.  ``compose(a, b)``
-applies ``b`` first, so the induced coordinate action on tuples is a left action.
+fixes the element order and records the right-multiplication table:
+``right[k][i]`` is the index of ``elements[i] * generators[k]``, one compact
+``array`` row per generator.  The walk, and the greedy closures built on it
+(``from_elements``, ``derived_subgroup``), run on raw image tuples; a
+``PermGroup`` wraps its elements in ``Permutation`` objects only when they are
+read, and builds the table on first use when it was given an element list.
+Points are 1-based throughout.  ``compose(a, b)`` applies ``b`` first, so the
+induced coordinate action on tuples is a left action.
 """
 
 from __future__ import annotations
 
 import re
+from array import array
 from dataclasses import dataclass
 from math import lcm
-from typing import Iterable, Sequence
+from operator import itemgetter
+from typing import Callable, Iterable, Sequence
 
 from .caps import Caps, CapExceeded, DEFAULT_CAPS
 
@@ -132,52 +140,102 @@ def perm_from_cycles(text: str, degree: int) -> Permutation:
     return Permutation(tuple(images))
 
 
+Images = tuple[int, ...]
+
+
+def _right_mul(g: Images) -> Callable[[Images], Images]:
+    """The map e -> e * g on image tuples (g applied first)."""
+    if len(g) == 1:
+        return lambda e: e
+    return itemgetter(*[t - 1 for t in g])
+
+
 class PermGroup:
-    """A permutation group given by its full element list, identity first."""
+    """A permutation group given by its full element list, identity first.
+
+    ``images`` holds the elements as image tuples and ``image_index`` maps each
+    to its position; ``elements`` wraps them as ``Permutation`` objects on first
+    read.  ``right[k][i]`` is the index of ``elements[i] * generators[k]``.
+    """
 
     def __init__(self, degree: int, elements: Sequence[Permutation],
                  generators: Sequence[Permutation], label: str | None = None):
+        self._setup(degree, [p.images for p in elements], [g.images for g in generators],
+                    label)
+
+    @classmethod
+    def _of_images(cls, degree: int, images: Sequence[Images], gen_images: Sequence[Images],
+                   label: str | None = None, image_index: dict[Images, int] | None = None,
+                   right: list[array] | None = None) -> "PermGroup":
+        group = cls.__new__(cls)
+        group._setup(degree, images, gen_images, label, image_index, right)
+        return group
+
+    def _setup(self, degree, images, gen_images, label, image_index=None, right=None):
         self.degree = degree
-        self.elements = tuple(elements)
-        self.generators = tuple(generators)
+        self.images = tuple(images)
+        self.generators = tuple(map(_trusted, gen_images))
         self.label = label
-        self._index = {p: i for i, p in enumerate(self.elements)}
-        if not self.elements or not self.elements[0].is_identity():
+        if not self.images or self.images[0] != tuple(range(1, degree + 1)):
             raise ValueError("element list must start with the identity")
+        if image_index is None:
+            image_index = dict(zip(self.images, range(len(self.images))))
+        self.image_index = image_index
+        self._right = right
+        self._elements: tuple[Permutation, ...] | None = None
+
+    @property
+    def elements(self) -> tuple[Permutation, ...]:
+        if self._elements is None:
+            self._elements = tuple(map(_trusted, self.images))
+        return self._elements
+
+    @property
+    def right(self) -> list[array]:
+        """right[k][i] = index of elements[i] * generators[k]; built on first use
+        for a group given by its element list."""
+        if self._right is None:
+            try:
+                self._right = [array("i", map(self.image_index.__getitem__,
+                                              map(_right_mul(g.images), self.images)))
+                               for g in self.generators]
+            except KeyError:
+                raise ValueError("element list is not closed under the generators") from None
+        return self._right
 
     @property
     def order(self) -> int:
-        return len(self.elements)
+        return len(self.images)
 
     @property
     def identity(self) -> Permutation:
-        return self.elements[0]
+        return _trusted(self.images[0])
 
     def __len__(self):
-        return len(self.elements)
+        return len(self.images)
 
     def __iter__(self):
         return iter(self.elements)
 
     def __contains__(self, p: Permutation) -> bool:
-        return p in self._index
+        return p.images in self.image_index
 
     def index(self, p: Permutation) -> int:
-        return self._index[p]
+        return self.image_index[p.images]
 
     def __eq__(self, other):
         if not isinstance(other, PermGroup):
             return NotImplemented
-        return self.degree == other.degree and set(self.elements) == set(other.elements)
+        return self.degree == other.degree and self.image_index.keys() == other.image_index.keys()
 
     def __hash__(self):
-        return hash((self.degree, frozenset(self.elements)))
+        return hash((self.degree, frozenset(self.images)))
 
     def __repr__(self):
         return f"PermGroup(degree={self.degree}, order={self.order})"
 
     def is_subgroup_of(self, other: "PermGroup") -> bool:
-        return self.degree == other.degree and all(g in other for g in self.elements)
+        return self.degree == other.degree and self.image_index.keys() <= other.image_index.keys()
 
     @staticmethod
     def from_elements(elements: Iterable[Permutation], label: str | None = None) -> "PermGroup":
@@ -187,32 +245,32 @@ class PermGroup:
         and no closure may grow past the size of the set.  The elements come in
         the BFS order of the last closure.
         """
-        elems = list(dict.fromkeys(elements))
+        elems = list(dict.fromkeys(p.images for p in elements))
         if not elems:
             raise ValueError("empty element list")
-        degree = elems[0].degree
-        elems.sort(key=lambda p: p.images)  # identity sorts first
+        degree = len(elems[0])
+        if any(len(p) != degree for p in elems):
+            raise ValueError("elements of mixed degrees")
+        elems.sort()  # identity sorts first
         try:
-            gens, ordered = _greedy_closure(elems, degree, Caps(group_order=len(elems)))
+            # the closure holds every element and is no larger than the set: they are equal
+            return _greedy_closure(elems, degree, Caps(group_order=len(elems)), label)
         except CapExceeded:
             raise ValueError("element set is not a group") from None
-        # the closure holds every element and is no larger than the set: they are equal
-        return PermGroup(degree, ordered, gens, label=label)
 
 
-def _greedy_closure(candidates: Iterable[Permutation], degree: int, caps: Caps
-                    ) -> tuple[list[Permutation], list[Permutation]]:
-    """Generators taken in turn from the candidates missing from the closure so far,
-    and the BFS order of their closure, which is re-walked once per generator."""
-    gens: list[Permutation] = []
-    ordered = [identity(degree)]
-    generated = set(ordered)
+def _greedy_closure(candidates: Iterable[Images], degree: int, caps: Caps,
+                    label: str | None = None) -> PermGroup:
+    """The group generated by the candidates, each taken as a generator in turn when the
+    closure so far misses it; the BFS is re-walked once per generator."""
+    gens: list[Images] = []
+    walk = _bfs_order(gens, degree, caps)
     for p in candidates:
-        if p not in generated:
+        if p not in walk[1]:
             gens.append(p)
-            ordered = _bfs_order(gens, degree, caps)
-            generated = set(ordered)
-    return gens, ordered
+            walk = _bfs_order(gens, degree, caps)
+    images, image_index, right = walk
+    return PermGroup._of_images(degree, images, gens, label, image_index, right)
 
 
 def _check_table(order: int, degree: int, caps: Caps) -> None:
@@ -223,29 +281,33 @@ def _check_table(order: int, degree: int, caps: Caps) -> None:
         raise CapExceeded(f"group elements times degree exceed work cap {caps.orbit_work}")
 
 
-def _bfs_order(generators: Sequence[Permutation], degree: int, caps: Caps) -> list[Permutation]:
+def _bfs_order(generators: Sequence[Images], degree: int, caps: Caps
+               ) -> tuple[list[Images], dict[Images, int], list[array]]:
     """Deterministic element order: breadth-first products in generator order.
 
-    Raises CapExceeded as soon as the group would have more than
-    ``caps.group_order`` elements, or its element table more than
-    ``caps.orbit_work`` entries (elements times degree).
+    Returns the image tuples in that order, their index, and the table
+    ``right[k][i]`` = index of ``elements[i] * generators[k]``.  Raises
+    CapExceeded as soon as the group would have more than ``caps.group_order``
+    elements, or its element table more than ``caps.orbit_work`` entries
+    (elements times degree).
     """
-    start = identity(degree)
+    start = tuple(range(1, degree + 1))
     order = [start]
-    seen = {start}
-    frontier = [start]
-    while frontier:
-        nxt = []
-        for e in frontier:
-            for g in generators:
-                p = compose(e, g)
-                if p not in seen:
-                    _check_table(len(order) + 1, degree, caps)
-                    seen.add(p)
-                    order.append(p)
-                    nxt.append(p)
-        frontier = nxt
-    return order
+    index = {start: 0}
+    steps = [(_right_mul(g), array("i")) for g in generators]
+    limit = min(caps.group_order, caps.orbit_work // max(degree, 1))
+    for e in order:  # the list grows while it is walked: a FIFO queue
+        for mul, row in steps:
+            p = mul(e)
+            j = index.get(p)
+            if j is None:
+                j = len(order)
+                if j >= limit:
+                    _check_table(j + 1, degree, caps)
+                index[p] = j
+                order.append(p)
+            row.append(j)
+    return order, index, [row for _, row in steps]
 
 
 def group_closure(generators: Iterable[Permutation], degree: int | None = None,
@@ -263,7 +325,9 @@ def group_closure(generators: Iterable[Permutation], degree: int | None = None,
         raise ValueError("no generators and no degree given")
     if degree < 1:
         raise ValueError("degree must be positive")
-    return PermGroup(degree, _bfs_order(gens, degree, caps), gens, label=label)
+    gen_images = [g.images for g in gens]
+    images, image_index, right = _bfs_order(gen_images, degree, caps)
+    return PermGroup._of_images(degree, images, gen_images, label, image_index, right)
 
 
 def named_group(kind: str, d: int, caps: Caps = DEFAULT_CAPS) -> PermGroup:
@@ -300,17 +364,24 @@ def direct_product_embed(W: PermGroup, V: PermGroup, caps: Caps = DEFAULT_CAPS) 
     """W x V inside S_{d+r}: s -> sigma(s) for s <= d, d+t -> d+tau(t)."""
     d, r = W.degree, V.degree
     _check_table(W.order * V.order, d + r, caps)
-    elements = [embed_pair(s, t, d, r) for s in W.elements for t in V.elements]
+    shifted = [tuple([t + d for t in tau]) for tau in V.images]
+    images = [sigma + tau for sigma in W.images for tau in shifted]
     gens = [embed_pair(g, identity(r), d, r) for g in W.generators]
     gens += [embed_pair(identity(d), g, d, r) for g in V.generators]
-    return PermGroup(d + r, elements, gens)
+    return PermGroup._of_images(d + r, images, [g.images for g in gens])
 
 
 def split_product_element(g: Permutation, d: int, r: int) -> tuple[Permutation, Permutation]:
-    """Inverse of embed_pair; raises if g does not preserve the two blocks."""
+    """Inverse of embed_pair; raises if g does not preserve the two blocks.
+
+    A bijection of 1..d+r that keeps 1..d in place restricts to bijections of
+    both blocks, so the factors are built unchecked.
+    """
+    if g.degree != d + r:
+        raise ValueError(f"degree {g.degree} != d+r = {d + r}")
     if any(img > d for img in g.images[:d]) or any(img <= d for img in g.images[d:]):
         raise ValueError(f"{g!r} does not preserve the blocks 1..{d} / {d + 1}..{d + r}")
-    return Permutation(g.images[:d]), Permutation(tuple(t - d for t in g.images[d:]))
+    return _trusted(g.images[:d]), _trusted(tuple([t - d for t in g.images[d:]]))
 
 
 def _block_perm(w: Permutation, r: int) -> Permutation:
@@ -354,22 +425,24 @@ def decompose_wreath_element(g: Permutation, r: int, d: int,
     """Split g in wreath(V, W) into the block permutation sigma and per-block maps.
 
     g sends (s-1)r+t to (sigma(s)-1)r+tau_s(t); returns (sigma, (tau_1,...,tau_d)).
+    Once the bijection g maps every block into a single block, sigma and each
+    tau_s are bijections, so they are built unchecked; their membership in W
+    and V is still checked.
     """
     if g.degree != d * r:
         raise ValueError(f"degree {g.degree} != d*r = {d * r}")
+    images = g.images
     sigma_images = []
     taus = []
-    for s in range(1, d + 1):
-        target_block = (g((s - 1) * r + 1) - 1) // r + 1
-        tau_images = []
-        for t in range(1, r + 1):
-            img = g((s - 1) * r + t)
-            if (img - 1) // r + 1 != target_block:
-                raise ValueError(f"{g!r} does not map block {s} into a single block")
-            tau_images.append(img - (target_block - 1) * r)
-        sigma_images.append(target_block)
-        taus.append(Permutation(tuple(tau_images)))
-    sigma = Permutation(tuple(sigma_images))
+    for s in range(d):
+        block = images[s * r:(s + 1) * r]
+        target = (block[0] - 1) // r
+        tau = tuple([img - target * r for img in block])
+        if min(tau) < 1 or max(tau) > r:
+            raise ValueError(f"{g!r} does not map block {s + 1} into a single block")
+        sigma_images.append(target + 1)
+        taus.append(_trusted(tau))
+    sigma = _trusted(tuple(sigma_images))
     if sigma not in W:
         raise ValueError(f"block permutation {sigma!r} not in the top group")
     for tau in taus:
@@ -394,9 +467,16 @@ def derived_subgroup(G: PermGroup, caps: Caps = DEFAULT_CAPS) -> PermGroup:
     These generate a normal subgroup N (y^-1 [x,g] y = [xy,g] [y,g]^-1), and
     modulo N every generator commutes with every element, so G/N is abelian
     and N = [G,G].  A commutator becomes a generator only when the closure
-    so far misses it.
+    so far misses it.  x g is read off the table; the inverses are dicts.
     """
-    commutators = (compose(compose(x.inverse(), g.inverse()), compose(x, g))
-                   for x in G.elements for g in G.generators)
-    gens, ordered = _greedy_closure(commutators, G.degree, caps)
-    return PermGroup(G.degree, ordered, gens)
+    points = range(1, G.degree + 1)
+    gen_inverses = [dict(zip(g.images, points)).__getitem__ for g in G.generators]
+    products = [map(G.images.__getitem__, row) for row in G.right]
+
+    def commutators():
+        for x, *xgs in zip(G.images, *products):
+            x_inverse = dict(zip(x, points)).__getitem__
+            for g_inverse, xg in zip(gen_inverses, xgs):
+                yield tuple(map(x_inverse, map(g_inverse, xg)))
+
+    return _greedy_closure(commutators(), G.degree, caps)

@@ -1,14 +1,18 @@
 import time
-from math import lcm
+from itertools import product as iter_product
+from math import lcm, prod
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from cycindex import (Cyclotomic, compose, derived_subgroup,
+from cycindex import (Cyclotomic, Permutation, compose, derived_subgroup,
                       direct_product_embed, enumerate_linear_characters,
-                      kernel, named_group, perm_from_cycles, product_character,
-                      sign_character, unit_character, wreath_character,
-                      wreath_embed)
-from cycindex.characters import abelianization_exponent
+                      group_closure, kernel, named_group, perm_from_cycles,
+                      product_character, sign_character, unit_character,
+                      wreath_character, wreath_embed)
+from cycindex.catalog import default_catalog
+from cycindex.characters import (LinearCharacter, abelianization_exponent,
+                                 relator_hermite_form, validate_homomorphism)
 from cycindex.cli import EXIT_CAP, EXIT_OK, JobSpec, run
 from cycindex.grammar import parse_group
 
@@ -16,6 +20,86 @@ from cycindex.grammar import parse_group
 def character_count_oracle(G):
     """|G / [G,G]| computed via the commutator subgroup."""
     return G.order // derived_subgroup(G).order
+
+
+def assignment_search_oracle(G):
+    """The sorted value tables of every linear character, by trying all m^#gens
+    generator assignments and extending each along BFS words with Permutation
+    products, keeping the consistent ones."""
+    m = abelianization_exponent(G, derived_subgroup(G))
+    tables = set()
+    for assignment in iter_product(range(m), repeat=len(G.generators)):
+        values = {G.identity: 0}
+        frontier, consistent = [G.identity], True
+        while frontier and consistent:
+            nxt = []
+            for x in frontier:
+                for g, e in zip(G.generators, assignment):
+                    y, v = compose(x, g), (values[x] + e) % m
+                    if y not in values:
+                        values[y] = v
+                        nxt.append(y)
+                    elif values[y] != v:
+                        consistent = False
+            frontier = nxt
+        if consistent and len(values) == G.order:
+            tables.add(tuple(values[g] for g in G.elements))
+    return m, sorted(tables)
+
+
+def assert_relator_route_matches_oracles(G):
+    chars = enumerate_linear_characters(G)
+    m, tables = assignment_search_oracle(G)
+    assert [chi.exponents for chi in chars] == tables
+    assert all(chi.order_m == m for chi in chars)
+    rows = relator_hermite_form(G, m)
+    assert all(row[:i] == [0] * i and m % row[i] == 0 for i, row in enumerate(rows))
+    assert prod(row[i] for i, row in enumerate(rows)) == character_count_oracle(G)
+
+
+CATALOG_GROUPS = sorted({job[key] for job in default_catalog()
+                         for key in ("group", "group2") if job.get(key)})
+# the groups of the benchmark's ``groups`` workload
+WORKLOAD_GROUPS = ["S(6)", "A(6)", "wreath(S(3),S(2))", "wreath(S(2),S(3))",
+                   "product(S(3),D(4))", "D(8)", "C(12)", "gen[6]{(1 2),(3 4),(5 6)}"]
+
+subgroup_generators = st.integers(5, 6).flatmap(
+    lambda d: st.lists(st.permutations(list(range(1, d + 1))).map(
+        lambda images: Permutation(tuple(images))), min_size=1, max_size=3))
+
+
+class TestRelatorLattice:
+    @pytest.mark.parametrize("expr", CATALOG_GROUPS + WORKLOAD_GROUPS)
+    def test_matches_assignment_search(self, expr):
+        assert_relator_route_matches_oracles(parse_group(expr).group)
+
+    @settings(max_examples=60, deadline=None)
+    @given(subgroup_generators)
+    def test_matches_assignment_search_on_random_subgroups(self, gens):
+        assert_relator_route_matches_oracles(group_closure(gens, degree=gens[0].degree))
+
+    def test_large_wreath_lists_its_four_characters(self, run_cli):
+        # order 31,104: the m^#gens search exceeded the work cap here
+        done = run_cli(["characters", "--group", "wreath(S(3),S(4))"], timeout=60)
+        assert done.returncode == EXIT_OK
+        assert "order 31104, 4 linear character(s)" in done.stdout
+        assert done.stdout.count("\n") == 5
+
+
+class TestValidateHomomorphism:
+    @pytest.mark.parametrize("kind,d", [("symmetric", 3), ("cyclic", 4)])
+    def test_every_corrupted_exponent_is_caught(self, kind, d):
+        G = named_group(kind, d)
+        for chi in enumerate_linear_characters(G):
+            m = chi.order_m
+            validate_homomorphism(chi)
+            for i in range(1, G.order):
+                table = list(chi.exponents)
+                table[i] = (table[i] + 1) % m
+                with pytest.raises(ValueError, match="not a homomorphism"):
+                    validate_homomorphism(LinearCharacter(G, m, tuple(table)))
+            with pytest.raises(ValueError, match="identity"):
+                LinearCharacter(G, m, (1,) + chi.exponents[1:])
 
 
 class TestEnumeration:
@@ -106,6 +190,20 @@ class TestEnumeration:
             for g in C4:
                 v = chi.value(g)
                 assert chi.order_m % v.multiplicative_order() == 0
+
+
+class TestAbelianizationExponent:
+    @pytest.mark.parametrize("expr", CATALOG_GROUPS + WORKLOAD_GROUPS)
+    def test_is_the_lcm_of_element_orders_in_the_quotient(self, expr):
+        G = parse_group(expr).group
+        derived = derived_subgroup(G)
+        orders = []
+        for g in G.elements:
+            t, power = 1, g
+            while power not in derived:
+                t, power = t + 1, compose(power, g)
+            orders.append(t)
+        assert abelianization_exponent(G, derived) == lcm(*orders)
 
 
 class TestSign:

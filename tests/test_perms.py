@@ -7,7 +7,8 @@ from cycindex import (PermGroup, Permutation, compose, cycle_type,
                       perm_from_cycles, wreath_embed)
 from cycindex.caps import CapExceeded, Caps
 from cycindex.grammar import parse_group
-from cycindex.perms import identity, reconstruct_wreath_element
+from cycindex.perms import (identity, reconstruct_wreath_element,
+                            split_product_element)
 
 
 def naive_closure(generators, degree):
@@ -160,6 +161,63 @@ class TestClosure:
         assert a.elements == b.elements
 
 
+def frontier_bfs_oracle(generators, degree):
+    """The element order of a breadth-first walk on Permutation objects, frontier by frontier."""
+    start = identity(degree)
+    order, seen, frontier = [start], {start}, [start]
+    while frontier:
+        nxt = []
+        for e in frontier:
+            for g in generators:
+                p = compose(e, g)
+                if p not in seen:
+                    seen.add(p)
+                    order.append(p)
+                    nxt.append(p)
+        frontier = nxt
+    return order
+
+
+TABLE_GROUPS = {
+    "group_closure S(4)": lambda: named_group("symmetric", 4),
+    "group_closure gen": lambda: parse_group("gen[6]{(1 2 3)(4 5),(1 4)(2 6)}").group,
+    "from_elements": lambda: PermGroup.from_elements(reversed(named_group("dihedral", 5).elements)),
+    "derived_subgroup S(4)": lambda: derived_subgroup(named_group("symmetric", 4)),
+    "derived_subgroup wreath": lambda: derived_subgroup(parse_group("wreath(S(3),S(2))").group),
+    "direct_product_embed": lambda: direct_product_embed(named_group("symmetric", 3),
+                                                         named_group("cyclic", 4)),
+    "wreath_embed": lambda: wreath_embed(named_group("symmetric", 2), named_group("cyclic", 3)),
+    "constructor": lambda: _identity_then_reversed(named_group("symmetric", 3)),
+}
+
+
+def _identity_then_reversed(G):
+    """G from its element list in an order no BFS gives; the table is built on first use."""
+    return PermGroup(G.degree, G.elements[:1] + G.elements[:0:-1], G.generators)
+
+
+class TestRightTable:
+    @pytest.mark.parametrize("name", sorted(TABLE_GROUPS))
+    def test_entries_are_products_with_generators(self, name):
+        G = TABLE_GROUPS[name]()
+        assert len(G.right) == len(G.generators)
+        for k, row in enumerate(G.right):
+            assert len(row) == G.order and row.itemsize <= 8
+            for i in range(G.order):
+                assert row[i] == G.index(compose(G.elements[i], G.generators[k]))
+
+    @pytest.mark.parametrize("expr", ["S(5)", "A(5)", "D(6)", "C(7)", "wreath(S(2),S(3))",
+                                      "gen[6]{(1 2 3)(4 5),(1 4)(2 6)}"])
+    def test_element_order_is_the_frontier_bfs(self, expr):
+        G = parse_group(expr).group
+        assert list(G.elements) == frontier_bfs_oracle(G.generators, G.degree)
+
+    def test_element_list_not_closed_under_generators(self):
+        G = PermGroup(3, [identity(3)], [perm_from_cycles("(1 2)", 3)])
+        with pytest.raises(ValueError, match="not closed"):
+            G.right
+
+
 class TestNamedGroups:
     @pytest.mark.parametrize("kind,d,order", [
         ("symmetric", 4, 24),
@@ -253,6 +311,36 @@ class TestEmbeddings:
         s2 = named_group("symmetric", 2)
         with pytest.raises(ValueError):
             decompose_wreath_element(perm_from_cycles("(2 3)", 4), 2, 2, s2, s2)
+
+    def test_decompose_rejects_maps_outside_the_factors(self):
+        # three blocks of size 2 under C(3): swapping two blocks is no rotation
+        s2, c3 = named_group("symmetric", 2), named_group("cyclic", 3)
+        with pytest.raises(ValueError, match="not in the top group"):
+            decompose_wreath_element(perm_from_cycles("(1 3)(2 4)", 6), 2, 3, s2, c3)
+        with pytest.raises(ValueError, match="does not map block 2 into a single block"):
+            decompose_wreath_element(perm_from_cycles("(4 5)", 6), 2, 3, s2, c3)
+        # two blocks of size 3 under A(3): a transposition inside block 2 is odd
+        a3 = named_group("alternating", 3)
+        with pytest.raises(ValueError, match="not in the block group"):
+            decompose_wreath_element(perm_from_cycles("(4 5)", 6), 3, 2, a3, s2)
+
+    def test_unchecked_factors_are_permutations(self):
+        V, W = named_group("symmetric", 3), named_group("symmetric", 2)
+        for g in wreath_embed(V, W).elements:
+            sigma, taus = decompose_wreath_element(g, 3, 2, V, W)
+            for factor in (sigma, *taus):
+                assert Permutation(factor.images) == factor
+        P = direct_product_embed(V, W)
+        for g in P.elements:
+            sigma, tau = split_product_element(g, 3, 2)
+            assert (Permutation(sigma.images), Permutation(tau.images)) == (sigma, tau)
+            assert sigma in V and tau in W
+
+    def test_split_rejects_block_breakers_and_wrong_degrees(self):
+        with pytest.raises(ValueError, match="does not preserve the blocks"):
+            split_product_element(perm_from_cycles("(3 4)", 5), 3, 2)
+        with pytest.raises(ValueError, match="degree"):
+            split_product_element(perm_from_cycles("(1 2)", 6), 3, 2)
 
 
 class TestDerivedSubgroup:
