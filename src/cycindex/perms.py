@@ -477,6 +477,8 @@ def derived_subgroup(G: PermGroup, caps: Caps = DEFAULT_CAPS) -> PermGroup:
         for x, *xgs in zip(G.images, *products):
             x_inverse = dict(zip(x, points)).__getitem__
             for g_inverse, xg in zip(gen_inverses, xgs):
-                yield tuple(map(x_inverse, map(g_inverse, xg)))
+                # via a list, the tuple is allocated at its final size and reuses
+                # the freed commutators instead of piling them up on a free list
+                yield tuple(list(map(x_inverse, map(g_inverse, xg))))
 
     return _greedy_closure(commutators(), G.degree, caps)

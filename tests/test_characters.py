@@ -11,8 +11,9 @@ from cycindex import (Cyclotomic, Permutation, compose, derived_subgroup,
                       product_character, sign_character, unit_character,
                       wreath_character, wreath_embed)
 from cycindex.catalog import default_catalog
-from cycindex.characters import (LinearCharacter, abelianization_exponent,
-                                 relator_hermite_form, validate_homomorphism)
+from cycindex.characters import (LinearCharacter, _extend_to_group, _spanning_tree,
+                                 abelianization_exponent, relator_hermite_form,
+                                 validate_homomorphism)
 from cycindex.cli import EXIT_CAP, EXIT_OK, JobSpec, run
 from cycindex.grammar import parse_group
 
@@ -77,6 +78,16 @@ class TestRelatorLattice:
     @given(subgroup_generators)
     def test_matches_assignment_search_on_random_subgroups(self, gens):
         assert_relator_route_matches_oracles(group_closure(gens, degree=gens[0].degree))
+
+    @pytest.mark.parametrize("expr", ["S(3)", "A(4)", "D(4)", "C(6)"])
+    def test_extension_keeps_exactly_the_characters(self, expr):
+        # every assignment, lattice solution or not: only characters extend
+        G = parse_group(expr).group
+        m, tables = assignment_search_oracle(G)
+        tree = _spanning_tree(G)
+        extended = [_extend_to_group(G, a, m, tree)
+                    for a in iter_product(range(m), repeat=len(G.generators))]
+        assert sorted(t for t in extended if t is not None) == tables
 
     def test_large_wreath_lists_its_four_characters(self, run_cli):
         # order 31,104: the m^#gens search exceeded the work cap here
