@@ -180,7 +180,8 @@ def relator_hermite_form(G: PermGroup, m: int,
     every table edge x g_k = y gives the relator w(x) + e_k - w(y) (0 on tree
     edges).  These and m Z^#gens span a lattice L with Z^#gens / L = G/[G,G]
     when m is a multiple of its exponent.  Row i is zero left of column i, its
-    pivot d_i at column i divides m, and the product of the pivots is |L's index|.
+    pivot d_i at column i divides m, and the product of the pivots is the
+    index of L, which is |G/[G,G]|.
     Words and relators are packed into ints, one slot per generator, so the
     relators are formed and deduplicated in C loops.
     """
@@ -206,29 +207,16 @@ def relator_hermite_form(G: PermGroup, m: int,
 
 
 def _hermite_insert(rows: list[list[int]], v: list[int], m: int) -> None:
-    """Add v to the lattice spanned by the triangular rows, all entries mod m."""
+    """Add v to the lattice spanned by the triangular rows, all entries mod m.
+
+    At each column, Euclid's algorithm on the pivot row and v (swap, subtract
+    a multiple) leaves the gcd as pivot and a zero in v; pivots divide m and
+    never exceed it, so reducing mod m leaves them intact.
+    """
     for i in range(len(v)):
-        vi = v[i]
-        if vi == 0:
-            continue
-        h = rows[i]
-        d = h[i]
-        g, s, t = _extended_gcd(d, vi)
-        a, c = vi // g, d // g  # [[s, t], [a, -c]] has determinant -1: a basis change
-        rows[i] = [(s * x + t * y) % m for x, y in zip(h, v)]
-        rows[i][i] = g
-        v = [(a * x - c * y) % m for x, y in zip(h, v)]  # zero at column i
-
-
-def _extended_gcd(a: int, b: int) -> tuple[int, int, int]:
-    """(g, s, t) with g = gcd(a, b) = s a + t b."""
-    s0, s1, t0, t1 = 1, 0, 0, 1
-    while b:
-        q = a // b
-        a, b = b, a - q * b
-        s0, s1 = s1, s0 - q * s1
-        t0, t1 = t1, t0 - q * t1
-    return a, s0, t0
+        while v[i]:
+            q = rows[i][i] // v[i]
+            rows[i], v = v, [(x - q * y) % m for x, y in zip(rows[i], v)]
 
 
 def _lattice_solutions(rows: list[list[int]], m: int) -> list[tuple[int, ...]]:
