@@ -264,12 +264,11 @@ def _greedy_closure(candidates: Iterable[Images], degree: int, caps: Caps,
     """The group generated by the candidates, each taken as a generator in turn when the
     closure so far misses it; the BFS is re-walked once per generator."""
     gens: list[Images] = []
-    walk = _bfs_order(gens, degree, caps)
+    images, image_index, right = _bfs_order(gens, degree, caps)
     for p in candidates:
-        if p not in walk[1]:
+        if p not in image_index:
             gens.append(p)
-            walk = _bfs_order(gens, degree, caps)
-    images, image_index, right = walk
+            images, image_index, right = _bfs_order(gens, degree, caps)
     return PermGroup._of_images(degree, images, gens, label, image_index, right)
 
 

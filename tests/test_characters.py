@@ -10,7 +10,7 @@ from cycindex import (Cyclotomic, Permutation, compose, derived_subgroup,
                       group_closure, kernel, named_group, perm_from_cycles,
                       product_character, sign_character, unit_character,
                       wreath_character, wreath_embed)
-from cycindex.catalog import default_catalog
+from cycindex.catalog import MAIN_GROUP_EXPRS, PAIR_EXPRS
 from cycindex.characters import (LinearCharacter, _extend_to_group, _spanning_tree,
                                  abelianization_exponent, relator_hermite_form,
                                  validate_homomorphism)
@@ -58,8 +58,7 @@ def assert_relator_route_matches_oracles(G):
     assert prod(row[i] for i, row in enumerate(rows)) == character_count_oracle(G)
 
 
-CATALOG_GROUPS = sorted({job[key] for job in default_catalog()
-                         for key in ("group", "group2") if job.get(key)})
+CATALOG_GROUPS = list(dict.fromkeys([*MAIN_GROUP_EXPRS, *(expr for expr, _ in PAIR_EXPRS)]))
 # the groups of the benchmark's ``groups`` workload
 WORKLOAD_GROUPS = ["S(6)", "A(6)", "wreath(S(3),S(2))", "wreath(S(2),S(3))",
                    "product(S(3),D(4))", "D(8)", "C(12)", "gen[6]{(1 2),(3 4),(5 6)}"]
