@@ -4,11 +4,13 @@ Character values are roots of unity and are stored as exponents k modulo a
 shared order m, so the value at g is zeta_m^k.  Cyclotomic objects are only
 materialized when values enter polynomial coefficients.
 
-Homomorphism checks are lookups in the group's right-multiplication table.
-The linear characters are read off the abelianized relators of a BFS over
-that table: the Hermite form of their lattice, modulo the exponent m of
-G/[G,G], lists Hom(G/[G,G], Z/m) by back-substitution, and each solution is
-extended to a value table with every (element, generator) edge checked.
+Every character is built by ``_from_generators``: generator exponents are
+extended along a BFS spanning tree of the group's right-multiplication table,
+then ``validate_homomorphism`` checks every (element, generator) edge once.
+A homomorphism is fixed by its generator values, so the named characters only
+compute those.  The enumerated ones are read off the abelianized relators of
+that BFS: their Hermite form modulo the exponent m of G/[G,G] lists
+Hom(G/[G,G], Z/m) by back-substitution.
 """
 
 from __future__ import annotations
@@ -43,8 +45,6 @@ class LinearCharacter:
     def value(self, g: Permutation) -> Cyclotomic:
         return Cyclotomic.root_of_unity(self.order_m, self.exponent(g))
 
-    __call__ = value
-
     def is_unit(self) -> bool:
         return all(e == 0 for e in self.exponents)
 
@@ -60,10 +60,14 @@ class LinearCharacter:
             return NotImplemented
         if self.group != other.group:
             return False
+        theirs = other.exponents
+        if other.group.images != self.group.images:  # same elements, listed in another order
+            theirs = map(theirs.__getitem__, map(other.group.image_index.__getitem__,
+                                                 self.group.images))
         m = lcm(self.order_m, other.order_m)
         scale_a, scale_b = m // self.order_m, m // other.order_m
         return all((ea * scale_a - eb * scale_b) % m == 0
-                   for ea, eb in zip(self.exponents, other.exponents))
+                   for ea, eb in zip(self.exponents, theirs))
 
     __hash__ = None
 
@@ -91,18 +95,31 @@ def validate_homomorphism(chi: LinearCharacter) -> None:
         raise ValueError(f"not a homomorphism at ({G.elements[i]!r}, {G.generators[k]!r})")
 
 
+def _from_generators(G: PermGroup, m: int, exponents, name: str | None,
+                     tree: list[tuple[int, int, int]] | None = None) -> LinearCharacter:
+    """The character with value zeta_m^exponents[k] at generator k.
+
+    The values are extended along the spanning tree; ValueError unless the
+    resulting table is a homomorphism.
+    """
+    if tree is None:
+        tree = _spanning_tree(G)
+    values = [0] * G.order
+    for i, k, j in tree:
+        values[j] = (values[i] + exponents[k]) % m
+    chi = LinearCharacter(G, m, values, name=name)
+    validate_homomorphism(chi)
+    return chi
+
+
 def unit_character(G: PermGroup) -> LinearCharacter:
-    return LinearCharacter(G, 1, (0,) * G.order, name="unit")
+    return _from_generators(G, 1, [0] * len(G.generators), "unit")
 
 
 def sign_character(G: PermGroup) -> LinearCharacter:
     """Restriction of the alternating character of S_d to G."""
-    d = G.degree
-    exponents = tuple((d - sum(cycle_type(g))) % 2 for g in G.elements)
-    m = 2 if any(exponents) else 1
-    chi = LinearCharacter(G, m, exponents, name="sign")
-    validate_homomorphism(chi)
-    return chi
+    parities = [(G.degree - sum(cycle_type(g))) % 2 for g in G.generators]
+    return _from_generators(G, 2 if any(parities) else 1, parities, "sign")
 
 
 def abelianization_exponent(G: PermGroup, derived: PermGroup) -> int:
@@ -122,10 +139,9 @@ def enumerate_linear_characters(G: PermGroup, caps: Caps = DEFAULT_CAPS
     """All linear characters of G, deterministically ordered, unit character first.
 
     They are the |G/[G,G]| solutions of the relator lattice modulo m
-    (``relator_hermite_form``), each extended along the group table, so the
+    (``relator_hermite_form``), each built by ``_from_generators``, so the
     search is bounded up front by |G/[G,G]| * |G| * #gens against the work cap.
-    The count is checked against the derived-subgroup closure and every
-    character by ``validate_homomorphism``.
+    The count is checked against the derived-subgroup closure.
     """
     derived = derived_subgroup(G, caps=caps)
     expected = G.order // derived.order
@@ -135,23 +151,15 @@ def enumerate_linear_characters(G: PermGroup, caps: Caps = DEFAULT_CAPS
                           f"exceeds work cap {caps.orbit_work}")
     m = abelianization_exponent(G, derived)
     tree = _spanning_tree(G)
-    found = []
-    for assignment in _lattice_solutions(relator_hermite_form(G, m, tree), m):
-        table = _extend_to_group(G, assignment, m, tree)
-        if table is None:
-            raise AssertionError(f"lattice solution {assignment} does not extend to G")
-        found.append(table)
+    found = [_from_generators(G, m, assignment, None, tree)
+             for assignment in _lattice_solutions(relator_hermite_form(G, m, tree), m)]
     if len(found) != expected:
         raise AssertionError(
             f"found {len(found)} characters, expected |G/[G,G]| = {expected}")
-    found.sort()
-    out = []
-    for k, table in enumerate(found):
-        name = "unit" if not any(table) else f"index:{k}"
-        chi = LinearCharacter(G, m, table, name=name)
-        validate_homomorphism(chi)
-        out.append(chi)
-    return out
+    found.sort(key=lambda chi: chi.exponents)
+    for k, chi in enumerate(found):
+        chi.name = "unit" if chi.is_unit() else f"index:{k}"
+    return found
 
 
 def _spanning_tree(G: PermGroup) -> list[tuple[int, int, int]]:
@@ -241,19 +249,6 @@ def _lattice_solutions(rows: list[list[int]], m: int) -> list[tuple[int, ...]]:
     return tails
 
 
-def _extend_to_group(G: PermGroup, assignment, m: int,
-                     tree: list[tuple[int, int, int]]) -> tuple[int, ...] | None:
-    """Extend generator exponents along the spanning tree; None unless every
-    (element, generator) edge of the table agrees."""
-    values = [0] * G.order
-    for i, k, j in tree:
-        values[j] = (values[i] + assignment[k]) % m
-    for e, row in zip(assignment, G.right):
-        if list(map(values.__getitem__, row)) != [(v + e) % m for v in values]:
-            return None
-    return tuple(values)
-
-
 def kernel(chi: LinearCharacter) -> PermGroup:
     """H = {g : chi(g) = 1}, a normal subgroup of index image_order."""
     elems = [g for g in chi.group.elements if chi.exponent(g) == 0]
@@ -269,33 +264,25 @@ def product_character(chi: LinearCharacter, theta: LinearCharacter,
     W, V = chi.group, theta.group
     if P is None:
         P = direct_product_embed(W, V)
-    d, r = W.degree, V.degree
     m = lcm(chi.order_m, theta.order_m)
     exponents = []
-    for g in P.elements:
-        sigma, tau = split_product_element(g, d, r)
+    for g in P.generators:
+        sigma, tau = split_product_element(g, W.degree, V.degree)
         if sigma not in W or tau not in V:
             raise ValueError(f"{g!r} does not decompose inside W x V")
-        exponents.append((chi.exponent(sigma) * (m // chi.order_m)
-                          + theta.exponent(tau) * (m // theta.order_m)) % m)
-    lam = LinearCharacter(P, m, tuple(exponents), name="product")
-    validate_homomorphism(lam)
-    return lam
+        exponents.append(chi.exponent(sigma) * (m // chi.order_m)
+                         + theta.exponent(tau) * (m // theta.order_m))
+    return _from_generators(P, m, exponents, "product")
 
 
 def wreath_character(theta: LinearCharacter, chi: LinearCharacter,
                      G: PermGroup) -> LinearCharacter:
     """theta^(x)d (x) chi on the wreath embedding G of V by W in S_{dr}."""
     V, W = theta.group, chi.group
-    r, d = V.degree, W.degree
     m = lcm(theta.order_m, chi.order_m)
     exponents = []
-    for g in G.elements:
-        sigma, taus = decompose_wreath_element(g, r, d, V, W)
-        e = chi.exponent(sigma) * (m // chi.order_m)
-        for tau in taus:
-            e += theta.exponent(tau) * (m // theta.order_m)
-        exponents.append(e % m)
-    mu = LinearCharacter(G, m, tuple(exponents), name="wreath")
-    validate_homomorphism(mu)
-    return mu
+    for g in G.generators:
+        sigma, taus = decompose_wreath_element(g, V.degree, W.degree, V, W)
+        exponents.append(chi.exponent(sigma) * (m // chi.order_m)
+                         + sum(map(theta.exponent, taus)) * (m // theta.order_m))
+    return _from_generators(G, m, exponents, "wreath")

@@ -102,6 +102,8 @@ class MonomialModule:
 
     def twist(self, alpha: LinearCharacter) -> tuple[CyclotomicIntegers, list[list[int]]]:
         """Z[zeta_m] holding alpha and gamma, and k[g][i] with alpha(g) gamma_i(g) = zeta_m^k."""
+        if alpha.group != self.group:
+            raise ValueError("character is defined on a different group")
         m = lcm(alpha.order_m, self.gamma_order)
         sa, sg = m // alpha.order_m, m // self.gamma_order
         weights = []

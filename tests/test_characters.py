@@ -5,17 +5,18 @@ from math import lcm, prod
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cycindex import (Cyclotomic, Permutation, compose, derived_subgroup,
-                      direct_product_embed, enumerate_linear_characters,
-                      group_closure, kernel, named_group, perm_from_cycles,
-                      product_character, sign_character, unit_character,
-                      wreath_character, wreath_embed)
+from cycindex import (Cyclotomic, Permutation, PermGroup, compose, cycle_type,
+                      derived_subgroup, direct_product_embed,
+                      enumerate_linear_characters, group_closure, kernel,
+                      named_group, perm_from_cycles, product_character,
+                      sign_character, unit_character, wreath_character, wreath_embed)
 from cycindex.catalog import MAIN_GROUP_EXPRS, PAIR_EXPRS
-from cycindex.characters import (LinearCharacter, _extend_to_group, _spanning_tree,
+from cycindex.characters import (LinearCharacter, _from_generators, _spanning_tree,
                                  abelianization_exponent, relator_hermite_form,
                                  validate_homomorphism)
 from cycindex.cli import EXIT_CAP, EXIT_OK, JobSpec, run
-from cycindex.grammar import parse_group
+from cycindex.grammar import parse_character, parse_group
+from cycindex.perms import decompose_wreath_element, split_product_element
 
 
 def character_count_oracle(G):
@@ -46,6 +47,42 @@ def assignment_search_oracle(G):
         if consistent and len(values) == G.order:
             tables.add(tuple(values[g] for g in G.elements))
     return m, sorted(tables)
+
+
+def scaled(chi, m):
+    """chi's exponent table over zeta_m, for m a multiple of chi.order_m."""
+    return tuple(e * (m // chi.order_m) for e in chi.exponents)
+
+
+def parity_oracle(G):
+    """The sign character element by element: the parity of d minus the cycle count."""
+    return tuple((G.degree - sum(cycle_type(g))) % 2 for g in G.elements)
+
+
+def product_oracle(chi, theta, P):
+    """chi (x) theta element by element, each element of P split into its two blocks."""
+    W, V = chi.group, theta.group
+    m = lcm(chi.order_m, theta.order_m)
+    table = []
+    for g in P.elements:
+        sigma, tau = split_product_element(g, W.degree, V.degree)
+        assert sigma in W and tau in V
+        table.append((chi.exponent(sigma) * (m // chi.order_m)
+                      + theta.exponent(tau) * (m // theta.order_m)) % m)
+    return m, tuple(table)
+
+
+def wreath_oracle(theta, chi, G):
+    """theta^(x)d (x) chi element by element, each element of G decomposed."""
+    V, W = theta.group, chi.group
+    m = lcm(theta.order_m, chi.order_m)
+    table = []
+    for g in G.elements:
+        sigma, taus = decompose_wreath_element(g, V.degree, W.degree, V, W)
+        e = chi.exponent(sigma) * (m // chi.order_m)
+        e += sum(theta.exponent(tau) for tau in taus) * (m // theta.order_m)
+        table.append(e % m)
+    return m, tuple(table)
 
 
 def assert_relator_route_matches_oracles(G):
@@ -84,9 +121,13 @@ class TestRelatorLattice:
         G = parse_group(expr).group
         m, tables = assignment_search_oracle(G)
         tree = _spanning_tree(G)
-        extended = [_extend_to_group(G, a, m, tree)
-                    for a in iter_product(range(m), repeat=len(G.generators))]
-        assert sorted(t for t in extended if t is not None) == tables
+        extended = []
+        for a in iter_product(range(m), repeat=len(G.generators)):
+            try:
+                extended.append(_from_generators(G, m, a, None, tree).exponents)
+            except ValueError:  # does not extend
+                pass
+        assert sorted(extended) == tables
 
     def test_large_wreath_lists_its_four_characters(self, run_cli):
         # order 31,104: the m^#gens search exceeded the work cap here
@@ -283,3 +324,87 @@ class TestWreathCharacter:
         mu2 = wreath_character(one, eps, W)
         assert mu2.value(swap) == -1
         assert mu2.value(block1) == 1
+
+
+# every ordered pair of PAIR_EXPRS entries, as the catalog's verify-product jobs
+PAIRS = [(w, chi_sel, v, theta_sel)
+         for w, chi_sel in PAIR_EXPRS for v, theta_sel in PAIR_EXPRS]
+PAIR_DEGREES = {expr: parse_group(expr).group.degree for expr, _ in PAIR_EXPRS}
+
+
+def pair_character(expr, sel):
+    spec = parse_group(expr)
+    return parse_character(sel, spec)
+
+
+class TestSignOracle:
+    @pytest.mark.parametrize("expr", CATALOG_GROUPS + WORKLOAD_GROUPS)
+    def test_matches_the_elementwise_parity(self, expr):
+        G = parse_group(expr).group
+        assert scaled(sign_character(G), 2) == parity_oracle(G)
+
+    @settings(max_examples=60, deadline=None)
+    @given(subgroup_generators)
+    def test_matches_the_elementwise_parity_on_random_subgroups(self, gens):
+        G = group_closure(gens, degree=gens[0].degree)
+        assert scaled(sign_character(G), 2) == parity_oracle(G)
+
+
+class TestProductAndWreathOracles:
+    @pytest.mark.parametrize("w,chi_sel,v,theta_sel", PAIRS)
+    def test_product_matches_the_elementwise_split(self, w, chi_sel, v, theta_sel):
+        chi, theta = pair_character(w, chi_sel), pair_character(v, theta_sel)
+        P = direct_product_embed(chi.group, theta.group)
+        lam = product_character(chi, theta, P)
+        m, table = product_oracle(chi, theta, P)
+        assert scaled(lam, m) == table
+
+    @pytest.mark.parametrize("w,chi_sel,v,theta_sel",  # the catalog's verify-plethysm pairs
+                             [p for p in PAIRS if PAIR_DEGREES[p[0]] * PAIR_DEGREES[p[2]] <= 8])
+    def test_wreath_matches_the_elementwise_decomposition(self, w, chi_sel, v, theta_sel):
+        chi, theta = pair_character(w, chi_sel), pair_character(v, theta_sel)
+        G = wreath_embed(theta.group, chi.group)
+        mu = wreath_character(theta, chi, G)
+        m, table = wreath_oracle(theta, chi, G)
+        assert scaled(mu, m) == table
+
+    def test_every_compound_selector_on_wreath_s3_s2(self):
+        spec = parse_group("wreath(S(3),S(2))")
+        V, W = spec.parts[0].group, spec.parts[1].group
+        for theta in enumerate_linear_characters(V):
+            for chi in enumerate_linear_characters(W):
+                mu = parse_character(f"{theta.name}(x){chi.name}", spec)
+                m, table = wreath_oracle(theta, chi, spec.group)
+                assert scaled(mu, m) == table
+
+    def test_product_on_a_group_that_moves_the_blocks_raises(self):
+        chi, theta = sign_character(named_group("symmetric", 3)), sign_character(
+            named_group("symmetric", 2))
+        with pytest.raises(ValueError, match="does not preserve the blocks"):
+            product_character(chi, theta, named_group("symmetric", 5))
+
+    def test_product_on_a_group_outside_w_x_v_raises(self):
+        chi = unit_character(named_group("alternating", 3))
+        theta = unit_character(named_group("symmetric", 2))
+        P = direct_product_embed(named_group("symmetric", 3), theta.group)
+        with pytest.raises(ValueError, match="does not decompose inside W x V"):
+            product_character(chi, theta, P)
+
+
+class TestEquality:
+    def test_same_group_listed_in_another_order(self, S3):
+        copy = PermGroup.from_elements(S3.elements)
+        assert copy == S3 and copy.images != S3.images
+        assert sign_character(S3) == sign_character(copy)
+        assert sign_character(copy) == sign_character(S3)
+        assert sign_character(S3) != unit_character(copy)
+
+    def test_every_character_of_a_reordered_d4_matches_exactly_one(self):
+        D4 = named_group("dihedral", 4)
+        copy = PermGroup.from_elements(reversed(D4.elements))
+        assert copy == D4 and copy.images != D4.images
+        theirs = enumerate_linear_characters(copy)
+        for chi in enumerate_linear_characters(D4):
+            assert sum(chi == psi for psi in theirs) == 1
+            assert chi == LinearCharacter(copy, chi.order_m,
+                                          tuple(chi.exponent(g) for g in copy.elements))

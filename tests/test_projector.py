@@ -253,6 +253,19 @@ class TestBasisReport:
         assert data["ok"] is True and data["rank"] == 0
         assert data["trace"] == {"num": "0", "den": "1"}
 
+    def test_character_of_the_supergroup_is_rejected(self, S3, A3):
+        # it reported ok=True: only A3's elements were looked up in S3's table
+        with pytest.raises(ValueError, match="different group"):
+            verify_basis_prop(MonomialModule(A3, 1), sign_character(S3))
+
+    def test_character_of_a_subgroup_is_rejected(self, S3, A3):
+        # it raised a bare KeyError at the first element of S3 outside A3
+        alpha = enumerate_linear_characters(A3)[1]
+        with pytest.raises(ValueError, match="different group"):
+            MonomialModule(S3, 1).twist(alpha)
+        with pytest.raises(ValueError, match="different group"):
+            verify_basis_prop(MonomialModule(S3, 1), alpha)
+
 
 class TestRank:
     def test_rank_of_columns_small_cases(self):
