@@ -13,7 +13,7 @@ from .characters import (LinearCharacter, enumerate_linear_characters, kernel,
 from .cyclo import Cyclotomic, cyclotomic_polynomial, euler_phi
 from .orbits import (OrbitRecord, OrbitTable, chi_orbit_filter,
                      enumerate_orbits, full_census, h_orbit_census,
-                     index_set_J, verify_orbit_identity, weighted_sum_g)
+                     index_set_J, weighted_sum_g)
 from .perms import (PermGroup, Permutation, compose, cycle_type,
                     decompose_wreath_element, derived_subgroup,
                     direct_product_embed, group_closure, named_group,
@@ -33,8 +33,7 @@ __all__ = [
     "product_character", "sign_character", "unit_character", "wreath_character",
     "Cyclotomic", "cyclotomic_polynomial", "euler_phi",
     "OrbitRecord", "OrbitTable", "chi_orbit_filter", "enumerate_orbits",
-    "full_census", "h_orbit_census", "index_set_J", "verify_orbit_identity",
-    "weighted_sum_g",
+    "full_census", "h_orbit_census", "index_set_J", "weighted_sum_g",
     "PermGroup", "Permutation", "compose", "cycle_type",
     "decompose_wreath_element", "derived_subgroup", "direct_product_embed",
     "group_closure", "named_group", "perm_from_cycles", "wreath_embed",

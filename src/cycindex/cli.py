@@ -226,6 +226,11 @@ def _catalog_job_problem(job: dict) -> str | None:
     for key in ("group", "char", "group2", "char2"):
         if key in job and not isinstance(job[key], str):
             return f"with {key} not a string"
+    tamper = job.get("tamper_character", False)
+    if type(tamper) is not bool:
+        return "with tamper_character not a boolean"
+    if tamper and job["command"] != "verify":
+        return "with tamper_character on a command other than verify"
     return None
 
 
@@ -246,7 +251,7 @@ def run_suite(jobs: list[dict], caps: Caps, fmt: str = "text") -> tuple[int, str
             group2_expr=job.get("group2"),
             char2_sel=job.get("char2"),
             caps=caps,
-            tamper=bool(job.get("tamper_character", False)),
+            tamper=job.get("tamper_character", False),
         ))
     lines = []
     summary = []

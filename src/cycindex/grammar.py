@@ -77,7 +77,7 @@ def parse_group(text: str, caps: Caps = DEFAULT_CAPS) -> GroupSpec:
         try:
             gens = [perm_from_cycles(part.strip(), d)
                     for part in _split_top_level(body) if part.strip()]
-            return GroupSpec(src, group_closure(gens, degree=d, caps=caps, label=src))
+            return GroupSpec(src, group_closure(gens, degree=d, caps=caps))
         except ValueError as exc:
             raise SpecError(str(exc)) from None
     m = _CALL_RE.match(src)

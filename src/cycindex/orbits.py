@@ -17,7 +17,7 @@ from .caps import Caps, CapExceeded, DEFAULT_CAPS
 from .characters import LinearCharacter
 from .cyclo import Cyclotomic
 from .perms import PermGroup, Permutation
-from .polys import MonomialPoly, PowerSumPoly, cycle_index, specialize
+from .polys import MonomialPoly
 
 Point = tuple[int, ...]
 
@@ -179,23 +179,6 @@ def full_census(W: PermGroup, chi: LinearCharacter, n: int,
 
     table = chi_orbit_filter(enumerate_orbits(W, n, caps=caps), chi)
     return h_orbit_census(table, kernel(chi))
-
-
-@dataclass(frozen=True)
-class IdentityReport:
-    lhs: MonomialPoly
-    rhs: MonomialPoly
-    equal: bool
-    Z: PowerSumPoly
-
-
-def verify_orbit_identity(W: PermGroup, chi: LinearCharacter, n: int,
-                          caps: Caps = DEFAULT_CAPS) -> IdentityReport:
-    """Compare the combinatorial g_n with the specialized cycle index."""
-    lhs = weighted_sum_g(W, chi, n, caps=caps)
-    Z = cycle_index(W, chi)
-    rhs = specialize(Z, n, caps=caps)
-    return IdentityReport(lhs=lhs, rhs=rhs, equal=lhs == rhs, Z=Z)
 
 
 TSV_COLUMNS = ("rep", "size", "stab_order", "tau_H", "h_len", "chi_orbit")

@@ -4,9 +4,10 @@ Every group is closed by one capped breadth-first walk, ``_bfs_order``, which
 fixes the element order and records the right-multiplication table:
 ``right[k][i]`` is the index of ``elements[i] * generators[k]``, one compact
 ``array`` row per generator.  The walk, and the greedy closures built on it
-(``from_elements``, ``derived_subgroup``), run on raw image tuples; a
-``PermGroup`` wraps its elements in ``Permutation`` objects only when they are
-read, and builds the table on first use when it was given an element list.
+(``from_elements``, ``derived_subgroup``), run on raw image tuples.  Every
+``PermGroup`` holds its table from construction: a group given by an element
+list, such as a direct product, builds it in the constructor.  Elements are
+wrapped in ``Permutation`` objects only when they are read.
 Points are 1-based throughout.  ``compose(a, b)`` applies ``b`` first, so the
 induced coordinate action on tuples is a left action.
 """
@@ -159,29 +160,34 @@ class PermGroup:
     """
 
     def __init__(self, degree: int, elements: Sequence[Permutation],
-                 generators: Sequence[Permutation], label: str | None = None):
-        self._setup(degree, [p.images for p in elements], [g.images for g in generators],
-                    label)
+                 generators: Sequence[Permutation]):
+        self._setup(degree, [p.images for p in elements], [g.images for g in generators])
 
     @classmethod
     def _of_images(cls, degree: int, images: Sequence[Images], gen_images: Sequence[Images],
-                   label: str | None = None, image_index: dict[Images, int] | None = None,
+                   image_index: dict[Images, int] | None = None,
                    right: list[array] | None = None) -> "PermGroup":
         group = cls.__new__(cls)
-        group._setup(degree, images, gen_images, label, image_index, right)
+        group._setup(degree, images, gen_images, image_index, right)
         return group
 
-    def _setup(self, degree, images, gen_images, label, image_index=None, right=None):
+    def _setup(self, degree, images, gen_images, image_index=None, right=None):
         self.degree = degree
         self.images = tuple(images)
         self.generators = tuple(map(_trusted, gen_images))
-        self.label = label
         if not self.images or self.images[0] != tuple(range(1, degree + 1)):
             raise ValueError("element list must start with the identity")
         if image_index is None:
             image_index = dict(zip(self.images, range(len(self.images))))
         self.image_index = image_index
-        self._right = right
+        if right is None:
+            try:
+                right = [array("i", map(image_index.__getitem__,
+                                        map(_right_mul(g), self.images)))
+                         for g in gen_images]
+            except KeyError:
+                raise ValueError("element list is not closed under the generators") from None
+        self.right = right
         self._elements: tuple[Permutation, ...] | None = None
 
     @property
@@ -189,19 +195,6 @@ class PermGroup:
         if self._elements is None:
             self._elements = tuple(map(_trusted, self.images))
         return self._elements
-
-    @property
-    def right(self) -> list[array]:
-        """right[k][i] = index of elements[i] * generators[k]; built on first use
-        for a group given by its element list."""
-        if self._right is None:
-            try:
-                self._right = [array("i", map(self.image_index.__getitem__,
-                                              map(_right_mul(g.images), self.images)))
-                               for g in self.generators]
-            except KeyError:
-                raise ValueError("element list is not closed under the generators") from None
-        return self._right
 
     @property
     def order(self) -> int:
@@ -238,7 +231,7 @@ class PermGroup:
         return self.degree == other.degree and self.image_index.keys() <= other.image_index.keys()
 
     @staticmethod
-    def from_elements(elements: Iterable[Permutation], label: str | None = None) -> "PermGroup":
+    def from_elements(elements: Iterable[Permutation]) -> "PermGroup":
         """Build a group from its element set; ValueError if the set is not a group.
 
         Generators are chosen greedily in sorted order (``_greedy_closure``),
@@ -254,13 +247,12 @@ class PermGroup:
         elems.sort()  # identity sorts first
         try:
             # the closure holds every element and is no larger than the set: they are equal
-            return _greedy_closure(elems, degree, Caps(group_order=len(elems)), label)
+            return _greedy_closure(elems, degree, Caps(group_order=len(elems)))
         except CapExceeded:
             raise ValueError("element set is not a group") from None
 
 
-def _greedy_closure(candidates: Iterable[Images], degree: int, caps: Caps,
-                    label: str | None = None) -> PermGroup:
+def _greedy_closure(candidates: Iterable[Images], degree: int, caps: Caps) -> PermGroup:
     """The group generated by the candidates, each taken as a generator in turn when the
     closure so far misses it; the BFS is re-walked once per generator."""
     gens: list[Images] = []
@@ -269,7 +261,7 @@ def _greedy_closure(candidates: Iterable[Images], degree: int, caps: Caps,
         if p not in image_index:
             gens.append(p)
             images, image_index, right = _bfs_order(gens, degree, caps)
-    return PermGroup._of_images(degree, images, gens, label, image_index, right)
+    return PermGroup._of_images(degree, images, gens, image_index, right)
 
 
 def _check_table(order: int, degree: int, caps: Caps) -> None:
@@ -310,7 +302,7 @@ def _bfs_order(generators: Sequence[Images], degree: int, caps: Caps
 
 
 def group_closure(generators: Iterable[Permutation], degree: int | None = None,
-                  caps: Caps = DEFAULT_CAPS, label: str | None = None) -> PermGroup:
+                  caps: Caps = DEFAULT_CAPS) -> PermGroup:
     """Smallest group containing the generators, elements in BFS order from the identity."""
     gens = list(dict.fromkeys(g for g in generators if not g.is_identity()))
     if gens:
@@ -326,17 +318,15 @@ def group_closure(generators: Iterable[Permutation], degree: int | None = None,
         raise ValueError("degree must be positive")
     gen_images = [g.images for g in gens]
     images, image_index, right = _bfs_order(gen_images, degree, caps)
-    return PermGroup._of_images(degree, images, gen_images, label, image_index, right)
+    return PermGroup._of_images(degree, images, gen_images, image_index, right)
 
 
 def named_group(kind: str, d: int, caps: Caps = DEFAULT_CAPS) -> PermGroup:
     """Catalog groups: symmetric, alternating, cyclic, dihedral (orders d!, d!/2, d, 2d)."""
     if d < 1:
         raise ValueError(f"unsupported degree {d}")
-    label = {"symmetric": "S", "alternating": "A", "cyclic": "C", "dihedral": "D"}.get(kind)
-    if label is None:
+    if kind not in ("symmetric", "alternating", "cyclic", "dihedral"):
         raise ValueError(f"unknown group kind {kind!r}")
-    label = f"{label}({d})"
     if kind == "symmetric":
         gens = [] if d == 1 else [perm_from_cycles("(1 2)", d)]
         if d >= 3:
@@ -351,27 +341,26 @@ def named_group(kind: str, d: int, caps: Caps = DEFAULT_CAPS) -> PermGroup:
         rot = Permutation(tuple(list(range(2, d + 1)) + [1]))
         refl = Permutation(tuple(range(d, 0, -1)))
         gens = [rot, refl]
-    return group_closure(gens, degree=d, caps=caps, label=label)
-
-
-def embed_pair(sigma: Permutation, tau: Permutation, d: int, r: int) -> Permutation:
-    """(sigma, tau) as the permutation of 1..d+r acting on the two blocks separately."""
-    return Permutation(tuple(sigma.images) + tuple(t + d for t in tau.images))
+    return group_closure(gens, degree=d, caps=caps)
 
 
 def direct_product_embed(W: PermGroup, V: PermGroup, caps: Caps = DEFAULT_CAPS) -> PermGroup:
-    """W x V inside S_{d+r}: s -> sigma(s) for s <= d, d+t -> d+tau(t)."""
+    """W x V inside S_{d+r}: s -> sigma(s) for s <= d, d+t -> d+tau(t).
+
+    Generated by W's generators on 1..d, then V's generators shifted by d.
+    """
     d, r = W.degree, V.degree
     _check_table(W.order * V.order, d + r, caps)
     shifted = [tuple([t + d for t in tau]) for tau in V.images]
     images = [sigma + tau for sigma in W.images for tau in shifted]
-    gens = [embed_pair(g, identity(r), d, r) for g in W.generators]
-    gens += [embed_pair(identity(d), g, d, r) for g in V.generators]
-    return PermGroup._of_images(d + r, images, [g.images for g in gens])
+    gens = [g.images + shifted[0] for g in W.generators]
+    gens += [W.images[0] + tuple([t + d for t in g.images]) for g in V.generators]
+    return PermGroup._of_images(d + r, images, gens)
 
 
 def split_product_element(g: Permutation, d: int, r: int) -> tuple[Permutation, Permutation]:
-    """Inverse of embed_pair; raises if g does not preserve the two blocks.
+    """(sigma, tau) with g = sigma on 1..d and d+tau(t) on d+t; raises if g does not
+    preserve the two blocks.
 
     A bijection of 1..d+r that keeps 1..d in place restricts to bijections of
     both blocks, so the factors are built unchecked.
@@ -383,24 +372,6 @@ def split_product_element(g: Permutation, d: int, r: int) -> tuple[Permutation, 
     return _trusted(g.images[:d]), _trusted(tuple([t - d for t in g.images[d:]]))
 
 
-def _block_perm(w: Permutation, r: int) -> Permutation:
-    """w permuting d blocks of size r: (s-1)r+t -> (w(s)-1)r+t."""
-    images = [0] * (w.degree * r)
-    for s in range(1, w.degree + 1):
-        for t in range(1, r + 1):
-            images[(s - 1) * r + t - 1] = (w(s) - 1) * r + t
-    return Permutation(tuple(images))
-
-
-def _in_block_perm(v: Permutation, block: int, d: int) -> Permutation:
-    """v acting inside the given block (1-based), all other points fixed."""
-    r = v.degree
-    images = list(range(1, d * r + 1))
-    for t in range(1, r + 1):
-        images[(block - 1) * r + t - 1] = (block - 1) * r + v(t)
-    return Permutation(tuple(images))
-
-
 def wreath_embed(V: PermGroup, W: PermGroup, caps: Caps = DEFAULT_CAPS) -> PermGroup:
     """Wreath product of V (block group, degree r) by W (top group on d blocks) inside S_{dr}.
 
@@ -409,9 +380,14 @@ def wreath_embed(V: PermGroup, W: PermGroup, caps: Caps = DEFAULT_CAPS) -> PermG
     """
     r, d = V.degree, W.degree
     _check_table(d * len(V.generators) + len(W.generators), d * r, caps)
-    gens = [_in_block_perm(v, block, d) for block in range(1, d + 1) for v in V.generators]
-    gens += [_block_perm(w, r) for w in W.generators]
-    group = group_closure(gens, degree=d * r, caps=caps)
+    start = tuple(range(1, d * r + 1))
+    # v inside block b: b*r+t -> b*r+v(t), every other point fixed
+    gens = [start[:b * r] + tuple([b * r + t for t in v.images]) + start[(b + 1) * r:]
+            for b in range(d) for v in V.generators]
+    # w moving the blocks: (s-1)r+t -> (w(s)-1)r+t
+    gens += [tuple([(s - 1) * r + t for s in w.images for t in range(1, r + 1)])
+             for w in W.generators]
+    group = group_closure(map(_trusted, gens), degree=d * r, caps=caps)
     expected = V.order ** d * W.order
     if group.order != expected:
         raise AssertionError(f"wreath order {group.order} != |V|^d*|W| = {expected}")

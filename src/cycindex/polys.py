@@ -190,21 +190,6 @@ class MonomialPoly(_SparsePoly):
     def one(nvars: int) -> "MonomialPoly":
         return MonomialPoly(nvars, {(0,) * nvars: Cyclotomic.one()})
 
-    def substitute(self, assignments: Mapping[int, Fraction]) -> "MonomialPoly":
-        """Replace the given variables by exact rational values."""
-        out: dict[tuple[int, ...], Cyclotomic] = {}
-        for exps, coeff in self.terms.items():
-            factor = Fraction(1)
-            new_exps = list(exps)
-            for i, value in assignments.items():
-                factor *= Fraction(value) ** exps[i]
-                new_exps[i] = 0
-            key = tuple(new_exps)
-            add = coeff * factor
-            prev = out.get(key)
-            out[key] = add if prev is None else prev + add
-        return MonomialPoly(self.nvars, out)
-
     def evaluate_all_ones(self) -> Cyclotomic:
         total = Cyclotomic.zero()
         for coeff in self.terms.values():

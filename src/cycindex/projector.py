@@ -53,6 +53,13 @@ class MonomialModule:
         self.dim = (n + 1) ** self.d
         if self.dim > caps.projector_dim:
             raise CapExceeded(f"dimension {self.dim} exceeds cap {caps.projector_dim}")
+        # point_map holds |G| * dim entries, and the cocycle check walks |G|^2 * dim
+        work = self.dim * group.order
+        if work > caps.orbit_work:
+            raise CapExceeded(f"(n+1)^d * |G| = {work} exceeds work cap {caps.orbit_work}")
+        if gamma is not None and work * group.order > caps.orbit_work:
+            raise CapExceeded(f"(n+1)^d * |G|^2 = {work * group.order} exceeds work cap "
+                              f"{caps.orbit_work}")
         self.points = list(iter_product(range(n + 1), repeat=self.d))
         self._point_index = {p: i for i, p in enumerate(self.points)}
         self.gamma = gamma

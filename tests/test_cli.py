@@ -181,6 +181,11 @@ class TestSuite:
         {"command": "verify", "group": "S(3)", "char": ["sign"], "n": 1},
         {"command": "verify-product", "group": "S(2)", "group2": None},
         {"command": "verify-product", "group": "S(2)", "group2": "S(2)", "char2": 1},
+        {"command": "verify", "group": "S(3)", "char": "sign", "n": 1,
+         "tamper_character": "false"},
+        {"command": "verify", "group": "S(3)", "char": "sign", "n": 1, "tamper_character": 1},
+        {"command": "verify-basis", "group": "S(3)", "char": "sign", "n": 1,
+         "tamper_character": True},
     ])
     def test_malformed_job_stops_the_suite_before_any_job(self, bad):
         from cycindex.caps import caps_from_env
@@ -188,6 +193,17 @@ class TestSuite:
         code, out = run_suite(jobs, caps_from_env())
         assert code == EXIT_USAGE
         assert out.startswith("usage error: catalog job") and out.count("\n") == 1
+
+    def test_untampered_flag_is_allowed_on_every_command(self):
+        from cycindex.caps import caps_from_env
+        jobs = [{"command": "verify", "group": "S(3)", "char": "sign", "n": 1,
+                 "tamper_character": False},
+                {"command": "verify-basis", "group": "S(2)", "char": "sign", "n": 1,
+                 "tamper_character": False}]
+        assert run_suite(jobs, caps_from_env()) == (
+            EXIT_OK, "ok    verify group=S(3) char=sign n=1\n"
+                     "ok    verify-basis group=S(2) char=sign n=1\n"
+                     "suite: 2/2 jobs passed\n")
 
     def test_default_catalog_parses_each_expression_once(self, monkeypatch):
         import cycindex.catalog as catalog
@@ -345,6 +361,12 @@ class TestFailClosed:
         assert lines[1] == "      internal error: AssertionError: injected"
         assert lines[2].startswith("ok    verify group=S(3)")
         assert lines[3] == "suite: 1/2 jobs passed"
+
+    def test_work_cap_bounds_the_projector_module(self, capsys):
+        # |G| * (n+1)^d = 6 * 8 point-map entries for S(3) at n=1
+        code = main(["verify-basis", "--group", "S(3)", "--n", "1", "--cap", "20"])
+        assert (code, capsys.readouterr().out) == (
+            EXIT_CAP, "cap exceeded: (n+1)^d * |G| = 48 exceeds work cap 20\n")
 
     def test_default_catalog_over_the_work_cap_is_a_cap_hit(self, capsys):
         code = main(["suite", "--cap", "10"])

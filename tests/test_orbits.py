@@ -2,11 +2,11 @@ from itertools import product
 
 import pytest
 
-from cycindex import (chi_orbit_filter, cycle_type,
+from cycindex import (chi_orbit_filter, cycle_index, cycle_type,
                       enumerate_linear_characters, enumerate_orbits,
                       full_census, h_orbit_census, index_set_J, kernel,
-                      named_group, sign_character, unit_character,
-                      verify_orbit_identity, weighted_sum_g)
+                      named_group, sign_character, specialize, unit_character,
+                      weighted_sum_g)
 from cycindex.caps import CapExceeded, Caps
 from cycindex.orbits import apply_perm, census_json, census_tsv
 
@@ -198,20 +198,24 @@ class TestCensus:
 
 class TestOrbitIdentity:
     def test_c4_faithful_n1(self, C4):
-        rep = verify_orbit_identity(C4, enumerate_linear_characters(C4)[1], 1)
-        assert rep.equal
-        assert rep.lhs.render_text() == "x0^3*x1 + x0^2*x1^2 + x0*x1^3"
+        chi = enumerate_linear_characters(C4)[1]
+        lhs = weighted_sum_g(C4, chi, 1)
+        assert lhs == specialize(cycle_index(C4, chi), 1)
+        assert lhs.render_text() == "x0^3*x1 + x0^2*x1^2 + x0*x1^3"
 
     def test_s3_sign_n2(self, S3):
-        rep = verify_orbit_identity(S3, sign_character(S3), 2)
-        assert rep.equal and rep.lhs.render_text() == "x0*x1*x2"
+        chi = sign_character(S3)
+        lhs = weighted_sum_g(S3, chi, 2)
+        assert lhs == specialize(cycle_index(S3, chi), 2)
+        assert lhs.render_text() == "x0*x1*x2"
 
     def test_polya_special_case_with_burnside(self):
         for kind, d in [("symmetric", 4), ("dihedral", 5), ("cyclic", 6)]:
             W = named_group(kind, d)
-            rep = verify_orbit_identity(W, unit_character(W), 2)
-            assert rep.equal
-            ones = rep.rhs.evaluate_all_ones().as_rational()
+            chi = unit_character(W)
+            rhs = specialize(cycle_index(W, chi), 2)
+            assert weighted_sum_g(W, chi, 2) == rhs
+            ones = rhs.evaluate_all_ones().as_rational()
             assert ones == burnside_orbit_count(W, 2)
 
     def test_truncation_coherence(self, C4):

@@ -213,9 +213,8 @@ class TestRightTable:
         assert list(G.elements) == frontier_bfs_oracle(G.generators, G.degree)
 
     def test_element_list_not_closed_under_generators(self):
-        G = PermGroup(3, [identity(3)], [perm_from_cycles("(1 2)", 3)])
         with pytest.raises(ValueError, match="not closed"):
-            G.right
+            PermGroup(3, [identity(3)], [perm_from_cycles("(1 2)", 3)])
 
 
 class TestNamedGroups:
@@ -335,6 +334,43 @@ class TestEmbeddings:
             sigma, tau = split_product_element(g, 3, 2)
             assert (Permutation(sigma.images), Permutation(tau.images)) == (sigma, tau)
             assert sigma in V and tau in W
+
+    @pytest.mark.parametrize("w_kind,w_d", [("symmetric", 3), ("cyclic", 4), ("dihedral", 4)])
+    @pytest.mark.parametrize("v_kind,v_d", [("symmetric", 3), ("cyclic", 4), ("dihedral", 4)])
+    def test_direct_product_generators(self, w_kind, w_d, v_kind, v_d):
+        # W's generators on 1..d, then V's generators on d+1..d+r shifted by d
+        W, V = named_group(w_kind, w_d), named_group(v_kind, v_d)
+        d, r = W.degree, V.degree
+        expected = []
+        for w in W.generators:
+            images = {s: w(s) for s in range(1, d + 1)}
+            images.update({d + t: d + t for t in range(1, r + 1)})
+            expected.append(Permutation(tuple(images[s] for s in range(1, d + r + 1))))
+        for v in V.generators:
+            images = {s: s for s in range(1, d + 1)}
+            images.update({d + t: d + v(t) for t in range(1, r + 1)})
+            expected.append(Permutation(tuple(images[s] for s in range(1, d + r + 1))))
+        assert list(direct_product_embed(W, V).generators) == expected
+
+    @pytest.mark.parametrize("w_kind,w_d", [("symmetric", 3), ("cyclic", 4)])
+    @pytest.mark.parametrize("v_kind,v_d", [("symmetric", 2), ("cyclic", 3)])
+    def test_wreath_generators(self, v_kind, v_d, w_kind, w_d):
+        # V's generators inside block b for b = 1..d, then W's generators moving
+        # the blocks: (s-1)r+t -> (w(s)-1)r+t
+        V, W = named_group(v_kind, v_d), named_group(w_kind, w_d)
+        r, d = V.degree, W.degree
+        points = range(1, d * r + 1)
+        expected = []
+        for b in range(1, d + 1):
+            for v in V.generators:
+                images = {s: s for s in points}
+                images.update({(b - 1) * r + t: (b - 1) * r + v(t) for t in range(1, r + 1)})
+                expected.append(Permutation(tuple(images[s] for s in points)))
+        for w in W.generators:
+            images = {(s - 1) * r + t: (w(s) - 1) * r + t
+                      for s in range(1, d + 1) for t in range(1, r + 1)}
+            expected.append(Permutation(tuple(images[s] for s in points)))
+        assert list(wreath_embed(V, W).generators) == expected
 
     def test_split_rejects_block_breakers_and_wrong_degrees(self):
         with pytest.raises(ValueError, match="does not preserve the blocks"):

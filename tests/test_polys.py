@@ -210,11 +210,6 @@ class TestMonomialHelpers:
         assert not is_symmetric(skew)
         assert is_symmetric(MonomialPoly.zero(3))
 
-    def test_substitute_rationals(self):
-        e2 = elementary_symmetric(2, 2)
-        out = e2.substitute({0: Fraction(1), 1: Fraction(2), 2: Fraction(3)})
-        assert out.coefficient((0, 0, 0)) == Cyclotomic.from_rational(11)
-
     def test_equality_and_coefficient_edge_cases(self, S3):
         # power-sum equality ignores the weight; monomial equality checks nvars
         assert PowerSumPoly.zero(2) == PowerSumPoly.zero(3)

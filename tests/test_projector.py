@@ -74,6 +74,16 @@ class TestProjectorMatrix:
         with pytest.raises(CapExceeded):
             MonomialModule(S4, 3, caps=Caps(projector_dim=100))
 
+    def test_work_cap_bounds_the_point_map_and_the_cocycle_check(self, S3):
+        # S(3) at n=1: |G| * dim = 6 * 8 = 48, |G|^2 * dim = 288
+        with pytest.raises(CapExceeded, match=r"\(n\+1\)\^d \* \|G\| = 48 exceeds work cap 47"):
+            MonomialModule(S3, 1, caps=Caps(orbit_work=47))
+        family = random_gamma_family(S3, 1, seed=0)
+        gamma, order = family.gamma, family.gamma_order
+        with pytest.raises(CapExceeded, match=r"\|G\|\^2 = 288 exceeds work cap 287"):
+            MonomialModule(S3, 1, gamma, order, caps=Caps(orbit_work=287))
+        assert MonomialModule(S3, 1, gamma, order, caps=Caps(orbit_work=288)).dim == 8
+
 
 class TestDefinitionOracle:
     """build_projector against (1/|G|) sum over g of alpha(g) gamma_i(g), in Cyclotomic."""
