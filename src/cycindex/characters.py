@@ -52,9 +52,6 @@ class LinearCharacter:
         """Order of the image of the character, a divisor of order_m."""
         return lcm(1, *(self.order_m // gcd(e, self.order_m) for e in self.exponents))
 
-    def is_trivial_on(self, elems) -> bool:
-        return all(self.exponent(g) == 0 for g in elems)
-
     def __eq__(self, other):
         if not isinstance(other, LinearCharacter):
             return NotImplemented
@@ -251,7 +248,7 @@ def _lattice_solutions(rows: list[list[int]], m: int) -> list[tuple[int, ...]]:
 
 def kernel(chi: LinearCharacter) -> PermGroup:
     """H = {g : chi(g) = 1}, a normal subgroup of index image_order."""
-    elems = [g for g in chi.group.elements if chi.exponent(g) == 0]
+    elems = [g for g, e in zip(chi.group.elements, chi.exponents) if e == 0]
     H = PermGroup.from_elements(elems)
     if chi.group.order != H.order * chi.image_order():
         raise AssertionError("kernel index does not match the character image order")

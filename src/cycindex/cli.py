@@ -13,9 +13,11 @@ from dataclasses import dataclass
 
 from .caps import DEFAULT_CAPS, CapExceeded, Caps, caps_from_env
 from .catalog import default_catalog, load_catalog
-from .characters import LinearCharacter, enumerate_linear_characters
+from .characters import (LinearCharacter, enumerate_linear_characters, product_character,
+                         wreath_character)
 from .grammar import GroupSpec, SpecError, parse_character, parse_group
 from .orbits import census_json, census_tsv, full_census, weighted_sum_g
+from .perms import direct_product_embed, wreath_embed
 from .polys import cycle_index, plethysm_insert, psum_mul, specialize
 from .projector import MonomialModule, verify_basis_prop
 
@@ -172,9 +174,7 @@ def _run_verify(spec: JobSpec, group_spec: GroupSpec,
 
 def _run_product(spec: JobSpec, group_spec: GroupSpec,
                  chi: LinearCharacter) -> tuple[int, str]:
-    from .characters import product_character
-    from .perms import direct_product_embed
-
+    n = None if spec.n is None else _need_n(spec)
     second, theta = _second_pair(spec)
     embedded = direct_product_embed(group_spec.group, second.group, spec.caps)
     lam = product_character(chi, theta, embedded)
@@ -188,19 +188,16 @@ def _run_product(spec: JobSpec, group_spec: GroupSpec,
     if not equal:
         lines += [f"  embedded cycle index: {lhs.render_text()}",
                   f"  product of indices:   {rhs.render_text()}"]
-    if equal and spec.n is not None:
-        g_brute = weighted_sum_g(embedded, lam, spec.n, caps=spec.caps)
-        g_alg = specialize(lhs, spec.n, caps=spec.caps)
+    if equal and n is not None:
+        g_brute = weighted_sum_g(embedded, lam, n, caps=spec.caps)
+        g_alg = specialize(lhs, n, caps=spec.caps)
         equal = g_brute == g_alg
-        lines.append(f"  specialization at n={spec.n}: {'ok' if equal else 'MISMATCH'}")
+        lines.append(f"  specialization at n={n}: {'ok' if equal else 'MISMATCH'}")
     return (EXIT_OK if equal else EXIT_MISMATCH), "\n".join(lines) + "\n"
 
 
 def _run_plethysm(spec: JobSpec, group_spec: GroupSpec,
                   chi: LinearCharacter) -> tuple[int, str]:
-    from .characters import wreath_character
-    from .perms import wreath_embed
-
     second, theta = _second_pair(spec)
     wreath = wreath_embed(second.group, group_spec.group, caps=spec.caps)
     mu = wreath_character(theta, chi, wreath)

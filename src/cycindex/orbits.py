@@ -4,8 +4,10 @@ Hypercube coordinates are 0-based.  The coordinate action is the left action
 sigma . (j_1,...,j_d) = (j_{sigma^-1(1)}, ..., j_{sigma^-1(d)}).  Points are
 scanned in lexicographic order and orbits flood-filled, so the first point of
 each orbit is automatically its lexicographically minimal representative.
-The H-orbit census walks the same ``action_table`` rows: each element of W,
-and of a subgroup H, acts on a point by one precomputed row of source indices.
+Every point action in this module is a row of ``action_table``: each element
+of W acts on a point by one precomputed row of source indices, in the group's
+own element order.  The chi-orbit flag pairs those rows with the character's
+exponent table; the H-orbit census marks the rows whose element lies in H.
 """
 
 from __future__ import annotations
@@ -16,15 +18,10 @@ from dataclasses import dataclass, replace
 from .caps import Caps, CapExceeded, DEFAULT_CAPS
 from .characters import LinearCharacter
 from .cyclo import Cyclotomic
-from .perms import PermGroup, Permutation
+from .perms import PermGroup
 from .polys import MonomialPoly
 
 Point = tuple[int, ...]
-
-
-def apply_perm(sigma: Permutation, point: Point) -> Point:
-    inv = sigma.inverse().images
-    return tuple(point[inv[s] - 1] for s in range(len(point)))
 
 
 def action_table(W: PermGroup) -> list[tuple[int, ...]]:
@@ -95,19 +92,22 @@ def enumerate_orbits(W: PermGroup, n: int, caps: Caps = DEFAULT_CAPS) -> OrbitTa
     return OrbitTable(group=W, n=n, records=tuple(records))
 
 
-def stabilizer_elements(W: PermGroup, point: Point) -> list[Permutation]:
-    return [g for g in W.elements if apply_perm(g, point) == point]
-
-
 def chi_orbit_filter(table: OrbitTable, chi: LinearCharacter) -> OrbitTable:
-    """Mark each orbit whose stabilizers lie in the kernel of chi."""
+    """Mark each orbit whose stabilizers lie in the kernel of chi.
+
+    Every row of ``action_table(chi.group)`` is tried on the representative;
+    the orbit is flagged when chi's exponent is 0 at each row that fixes it.
+    Rows and exponents both follow chi.group's own element order.
+    """
     if chi.group != table.group:
         raise ValueError("character is defined on a different group")
-    W = table.group
+    rows = action_table(chi.group)
     records = []
     for rec in table.records:
-        stab = stabilizer_elements(W, rec.rep)
-        records.append(replace(rec, is_chi_orbit=chi.is_trivial_on(stab)))
+        rep = rec.rep
+        fixed = [e for row, e in zip(rows, chi.exponents)
+                 if tuple([rep[i] for i in row]) == rep]
+        records.append(replace(rec, is_chi_orbit=not any(fixed)))
     return replace(table, records=tuple(records))
 
 
@@ -143,7 +143,7 @@ def h_orbit_census(table: OrbitTable, H: PermGroup) -> OrbitTable:
         raise ValueError("H is not a subgroup of W")
     index_WH = W.order // H.order
     rows = action_table(W)
-    in_H = [g in H for g in W.elements]
+    in_H = [g in H.image_index for g in W.images]
     h_rows = [row for row, inside in zip(rows, in_H) if inside]
     records = []
     for rec in table.records:

@@ -207,9 +207,9 @@ def cycle_index(G: PermGroup, chi: LinearCharacter) -> PowerSumPoly:
     if chi.group != G:
         raise ValueError("character is defined on a different group")
     acc: dict[tuple[int, ...], Cyclotomic] = {}
-    for sigma in G.elements:
+    for sigma, e in zip(chi.group.elements, chi.exponents):
         key = cycle_type(sigma)
-        value = chi.value(sigma)
+        value = Cyclotomic.root_of_unity(chi.order_m, e)
         prev = acc.get(key)
         acc[key] = value if prev is None else prev + value
     scale = Fraction(1, G.order)

@@ -24,7 +24,7 @@ by pivots, which preserves rank over the field of fractions).
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import product as iter_product
 from math import lcm
 
@@ -357,20 +357,8 @@ class BasisReport:
     ok: bool
 
     def to_json(self):
-        return {
-            "group_order": self.group_order,
-            "n": self.n,
-            "d": self.d,
-            "dim": self.dim,
-            "trace": self.trace.to_json(),
-            "rank": self.rank,
-            "J_size": self.J_size,
-            "idempotent": self.idempotent,
-            "annihilation_ok": self.annihilation_ok,
-            "independent": self.independent,
-            "kernel_ok": self.kernel_ok,
-            "ok": self.ok,
-        }
+        return {**{f.name: getattr(self, f.name) for f in fields(self)},
+                "trace": self.trace.to_json()}
 
 
 def verify_basis_prop(M: MonomialModule, alpha: LinearCharacter) -> BasisReport:

@@ -138,6 +138,12 @@ class TestRun:
                                 group2_expr="C(4)", char2_sel="index:1", n=1))
         assert code == EXIT_OK and "ok" in out
 
+    @pytest.mark.parametrize("command", ["gn", "orbits", "verify", "verify-basis",
+                                         "verify-product"])
+    def test_negative_n_is_usage_error(self, command):
+        code, out = run(JobSpec(command, "S(2)", "unit", n=-1, group2_expr="S(2)"))
+        assert (code, out) == (EXIT_USAGE, "usage error: --n must be nonnegative\n")
+
     def test_verify_plethysm_flagship(self):
         code, out = run(JobSpec("verify-plethysm", "S(2)", "unit",
                                 group2_expr="S(2)", char2_sel="unit"))

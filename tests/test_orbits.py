@@ -8,7 +8,9 @@ from cycindex import (chi_orbit_filter, cycle_index, cycle_type,
                       named_group, sign_character, specialize, unit_character,
                       weighted_sum_g)
 from cycindex.caps import CapExceeded, Caps
-from cycindex.orbits import apply_perm, census_json, census_tsv
+from cycindex.orbits import census_json, census_tsv
+from cycindex.perms import PermGroup
+from oracles import apply_perm
 
 
 def burnside_orbit_count(W, n):
@@ -83,14 +85,14 @@ class TestChiOrbits:
         assert J == [(0, 1, 2)]
 
     def test_chi_orbit_flag_is_representative_independent(self, C4):
-        from cycindex.orbits import stabilizer_elements
         chi = enumerate_linear_characters(C4)[1]
-        for rec in enumerate_orbits(C4, 1).records:
+        for rec in chi_orbit_filter(enumerate_orbits(C4, 1), chi).records:
             flags = set()
             for g in C4:
                 point = apply_perm(g, rec.rep)
-                flags.add(chi.is_trivial_on(stabilizer_elements(C4, point)))
-            assert len(flags) == 1
+                stab = [h for h in C4 if apply_perm(h, point) == point]
+                flags.add(all(chi.exponent(h) == 0 for h in stab))
+            assert flags == {rec.is_chi_orbit}
 
     def test_index_set_sign_counts_binomials(self):
         from math import comb
@@ -123,8 +125,8 @@ class TestWeightedSum:
                     assert weighted_sum_g(G, chi, 0).is_zero()
 
 
-def census_by_apply_perm(table, H):
-    """Oracle: the census with every element applied through apply_perm."""
+def census_by_apply_perm(table, chi, H):
+    """Oracle: the census and the chi flag with every element applied through apply_perm."""
     W = table.group
     index_WH = W.order // H.order
     records = []
@@ -141,7 +143,7 @@ def census_by_apply_perm(table, H):
         assert index_WH * (H.order // h_stab_order) == \
             rec.size * (len(stab) // h_stab_order)
         records.append((rec.rep, len(lengths), lengths[0], h_stab_order,
-                        len(stab), rec.is_chi_orbit))
+                        len(stab), all(chi.exponent(g) == 0 for g in stab)))
     return records
 
 
@@ -159,8 +161,7 @@ class TestCensus:
             assert chi.image_order() == 4  # faithful
         W = spec.group
         table = full_census(W, chi, n)
-        filtered = chi_orbit_filter(enumerate_orbits(W, n), chi)
-        expected = census_by_apply_perm(filtered, kernel(chi))
+        expected = census_by_apply_perm(enumerate_orbits(W, n), chi, kernel(chi))
         got = [(r.rep, r.tau_H, r.h_orbit_length, r.stabilizer_order, r.is_chi_orbit)
                for r in table.records]
         assert got == [(rep, tau, h_len, stab, flag)
@@ -224,6 +225,30 @@ class TestOrbitIdentity:
             J_small = index_set_J(C4, chi, n)
             J_big = index_set_J(C4, chi, n + 1)
             assert J_small == [j for j in J_big if max(j) <= n]
+
+
+class TestReorderedGroup:
+    """A character on a copy of W listed in another order keeps its values in that order."""
+
+    @pytest.mark.parametrize("kind,d", [("symmetric", 3), ("dihedral", 4)])
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_same_results_as_on_w(self, kind, d, n):
+        W = named_group(kind, d)
+        copy = PermGroup.from_elements(W.elements)
+        assert copy == W and copy.images != W.images
+        on_w = enumerate_linear_characters(W)
+        on_copy = enumerate_linear_characters(copy)
+        assert len(on_copy) == len(on_w)
+        orbits = enumerate_orbits(W, n)
+        reordered = 0
+        for theta in on_copy:
+            [chi] = [c for c in on_w if c == theta]
+            reordered += theta.exponents != chi.exponents
+            assert cycle_index(W, theta).render_text() == cycle_index(W, chi).render_text()
+            assert chi_orbit_filter(orbits, theta) == chi_orbit_filter(orbits, chi)
+            assert weighted_sum_g(W, theta, n) == weighted_sum_g(W, chi, n)
+            assert full_census(W, theta, n) == full_census(W, chi, n)
+        assert reordered
 
 
 class TestExports:

@@ -10,9 +10,9 @@ from cycindex import (Cyclotomic, MonomialModule, build_projector,
 from cycindex.caps import CapExceeded, Caps
 from cycindex.cli import _tampered
 from cycindex.cyclo import CyclotomicIntegers
-from cycindex.orbits import apply_perm
 from cycindex.projector import (SparseMatrix, _Packing, check_idempotent,
                                 rank_of_columns)
+from oracles import apply_perm
 
 
 def entrywise_product(A, B):
