@@ -59,38 +59,20 @@ def euler_phi(m: int) -> int:
     return len(cyclotomic_polynomial(m)) - 1
 
 
-@lru_cache(maxsize=None)
-def _phi_tail(m: int) -> tuple[int, tuple[tuple[int, int], ...]]:
-    """deg Phi_m and the (j, coefficient) pairs of its nonzero lower terms."""
+def _reduce_mod_phi(coeffs: list[Fraction], m: int) -> list[Fraction]:
+    """Remainder of a polynomial in zeta_m modulo Phi_m (Phi_m is monic)."""
     phi = cyclotomic_polynomial(m)
     deg = len(phi) - 1
-    return deg, tuple((j, c) for j, c in enumerate(phi[:deg]) if c)
-
-
-def _common_denominator(coeffs: list[Fraction]) -> tuple[list[int], int]:
-    """Integer numerators over the least common denominator of coeffs."""
-    den = lcm(*(c.denominator for c in coeffs))
-    return [c.numerator * (den // c.denominator) for c in coeffs], den
-
-
-def _reduce_ints(work: list[int], m: int) -> list[int]:
-    """Remainder of an integer polynomial in zeta_m modulo Phi_m (Phi_m is monic)."""
-    deg, tail = _phi_tail(m)
+    work = list(coeffs)
     for i in range(len(work) - 1, deg - 1, -1):
         c = work[i]
         if c:
-            base = i - deg
-            for j, pc in tail:
-                work[base + j] -= c * pc
+            for j, pc in enumerate(phi):
+                if pc:
+                    work[i - deg + j] -= c * pc
     work = work[:deg]
-    work += [0] * (deg - len(work))
+    work += [Fraction(0)] * (deg - len(work))
     return work
-
-
-def _reduce_mod_phi(coeffs: list[Fraction], m: int) -> list[Fraction]:
-    """Remainder of a polynomial in zeta_m modulo Phi_m."""
-    ints, den = _common_denominator(coeffs)
-    return [Fraction(c, den) for c in _reduce_ints(ints, m)]
 
 
 class Cyclotomic:
@@ -196,16 +178,14 @@ class Cyclotomic:
             q = other.coeffs[0]
             return Cyclotomic._canonical(self.conductor, [q * c for c in self.coeffs])
         M = lcm(self.conductor, other.conductor)
-        a, da = _common_denominator(self._lift(M))
-        b, db = _common_denominator(other._lift(M))
-        prod = [0] * (len(a) + len(b) - 1)
+        a, b = self._lift(M), other._lift(M)
+        prod = [Fraction(0)] * (len(a) + len(b) - 1)
         for i, x in enumerate(a):
             if x:
                 for j, y in enumerate(b):
                     if y:
                         prod[i + j] += x * y
-        den = da * db
-        return Cyclotomic._canonical(M, [Fraction(c, den) for c in _reduce_ints(prod, M)])
+        return Cyclotomic._canonical(M, _reduce_mod_phi(prod, M))
 
     __rmul__ = __mul__
 
