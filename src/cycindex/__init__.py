@@ -10,17 +10,16 @@ from .caps import CapExceeded, Caps, caps_from_env
 from .characters import (LinearCharacter, enumerate_linear_characters, kernel,
                          product_character, sign_character, unit_character,
                          wreath_character)
-from .cyclo import Cyclotomic, cyclotomic_polynomial, euler_phi
+from .cyclo import Cyclotomic, cyclotomic_polynomial
 from .orbits import (OrbitRecord, OrbitTable, chi_orbit_filter,
                      enumerate_orbits, full_census, h_orbit_census,
                      index_set_J, weighted_sum_g)
 from .perms import (PermGroup, Permutation, compose, cycle_type,
                     decompose_wreath_element, derived_subgroup,
-                    direct_product_embed, group_closure, named_group,
+                    direct_product_embed, group_closure, inverse, named_group,
                     perm_from_cycles, wreath_embed)
-from .polys import (MonomialPoly, PowerSumPoly, cycle_index,
-                    elementary_symmetric, is_symmetric, plethysm_insert,
-                    psum_mul, psum_sub, specialize)
+from .polys import (MonomialPoly, PowerSumPoly, cycle_index, is_symmetric,
+                    plethysm_insert, psum_mul, psum_sub, specialize)
 from .projector import (BasisReport, MonomialModule, SparseMatrix,
                         build_projector, check_annihilation,
                         random_gamma_family, verify_basis_prop)
@@ -31,14 +30,14 @@ __all__ = [
     "CapExceeded", "Caps", "caps_from_env",
     "LinearCharacter", "enumerate_linear_characters", "kernel",
     "product_character", "sign_character", "unit_character", "wreath_character",
-    "Cyclotomic", "cyclotomic_polynomial", "euler_phi",
+    "Cyclotomic", "cyclotomic_polynomial",
     "OrbitRecord", "OrbitTable", "chi_orbit_filter", "enumerate_orbits",
     "full_census", "h_orbit_census", "index_set_J", "weighted_sum_g",
     "PermGroup", "Permutation", "compose", "cycle_type",
     "decompose_wreath_element", "derived_subgroup", "direct_product_embed",
-    "group_closure", "named_group", "perm_from_cycles", "wreath_embed",
-    "MonomialPoly", "PowerSumPoly", "cycle_index", "elementary_symmetric",
-    "is_symmetric", "plethysm_insert", "psum_mul", "psum_sub", "specialize",
+    "group_closure", "inverse", "named_group", "perm_from_cycles", "wreath_embed",
+    "MonomialPoly", "PowerSumPoly", "cycle_index", "is_symmetric",
+    "plethysm_insert", "psum_mul", "psum_sub", "specialize",
     "BasisReport", "MonomialModule", "SparseMatrix", "build_projector",
     "check_annihilation", "random_gamma_family", "verify_basis_prop",
 ]

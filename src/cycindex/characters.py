@@ -19,7 +19,6 @@ from math import gcd, lcm
 from operator import sub
 
 from .caps import Caps, CapExceeded, DEFAULT_CAPS
-from .cyclo import Cyclotomic
 from .perms import (PermGroup, Permutation, _right_mul, cycle_type,
                     decompose_wreath_element, derived_subgroup,
                     direct_product_embed, split_product_element)
@@ -42,8 +41,11 @@ class LinearCharacter:
     def exponent(self, g: Permutation) -> int:
         return self.exponents[self.group.index(g)]
 
-    def value(self, g: Permutation) -> Cyclotomic:
-        return Cyclotomic.root_of_unity(self.order_m, self.exponent(g))
+    def exponents_in(self, group: PermGroup) -> tuple[int, ...]:
+        """The exponents listed in the element order of ``group``, a group equal to
+        this character's group whose elements may come in another order."""
+        return tuple(map(self.exponents.__getitem__,
+                         map(self.group.image_index.__getitem__, group.images)))
 
     def is_unit(self) -> bool:
         return all(e == 0 for e in self.exponents)
@@ -57,14 +59,10 @@ class LinearCharacter:
             return NotImplemented
         if self.group != other.group:
             return False
-        theirs = other.exponents
-        if other.group.images != self.group.images:  # same elements, listed in another order
-            theirs = map(theirs.__getitem__, map(other.group.image_index.__getitem__,
-                                                 self.group.images))
         m = lcm(self.order_m, other.order_m)
         scale_a, scale_b = m // self.order_m, m // other.order_m
         return all((ea * scale_a - eb * scale_b) % m == 0
-                   for ea, eb in zip(self.exponents, theirs))
+                   for ea, eb in zip(self.exponents, other.exponents_in(self.group)))
 
     __hash__ = None
 
@@ -89,7 +87,8 @@ def validate_homomorphism(chi: LinearCharacter) -> None:
             failures.append((i, k))
     if failures:
         i, k = min(failures)
-        raise ValueError(f"not a homomorphism at ({G.elements[i]!r}, {G.generators[k]!r})")
+        raise ValueError(f"not a homomorphism at ({Permutation(G.images[i])!r}, "
+                         f"{G.generators[k]!r})")
 
 
 def _from_generators(G: PermGroup, m: int, exponents, name: str | None,
@@ -115,7 +114,7 @@ def unit_character(G: PermGroup) -> LinearCharacter:
 
 def sign_character(G: PermGroup) -> LinearCharacter:
     """Restriction of the alternating character of S_d to G."""
-    parities = [(G.degree - sum(cycle_type(g))) % 2 for g in G.generators]
+    parities = [(G.degree - sum(cycle_type(g.images))) % 2 for g in G.generators]
     return _from_generators(G, 2 if any(parities) else 1, parities, "sign")
 
 
@@ -248,8 +247,7 @@ def _lattice_solutions(rows: list[list[int]], m: int) -> list[tuple[int, ...]]:
 
 def kernel(chi: LinearCharacter) -> PermGroup:
     """H = {g : chi(g) = 1}, a normal subgroup of index image_order."""
-    elems = [g for g, e in zip(chi.group.elements, chi.exponents) if e == 0]
-    H = PermGroup.from_elements(elems)
+    H = PermGroup.from_elements(g for g, e in zip(chi.group.images, chi.exponents) if e == 0)
     if chi.group.order != H.order * chi.image_order():
         raise AssertionError("kernel index does not match the character image order")
     return H

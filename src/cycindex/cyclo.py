@@ -54,11 +54,6 @@ def _poly_divide_exact(num: list[int], den: tuple[int, ...]) -> list[int]:
     return quot
 
 
-@lru_cache(maxsize=None)
-def euler_phi(m: int) -> int:
-    return len(cyclotomic_polynomial(m)) - 1
-
-
 def _reduce_mod_phi(coeffs: list[Fraction], m: int) -> list[Fraction]:
     """Remainder of a polynomial in zeta_m modulo Phi_m (Phi_m is monic)."""
     phi = cyclotomic_polynomial(m)
@@ -200,15 +195,6 @@ class Cyclotomic:
 
     # values at different conductors can compare equal, so hashing is unsupported
     __hash__ = None
-
-    def multiplicative_order(self, bound: int = 10_000) -> int:
-        """Order of this value as a root of unity; raises if it is not one."""
-        acc = Cyclotomic.one()
-        for t in range(1, bound + 1):
-            acc = acc * self
-            if acc == Cyclotomic.one():
-                return t
-        raise ValueError(f"{self!r} is not a root of unity of order <= {bound}")
 
     def __str__(self):
         if self.conductor == 1:

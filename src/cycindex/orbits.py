@@ -5,9 +5,11 @@ sigma . (j_1,...,j_d) = (j_{sigma^-1(1)}, ..., j_{sigma^-1(d)}).  Points are
 scanned in lexicographic order and orbits flood-filled, so the first point of
 each orbit is automatically its lexicographically minimal representative.
 Every point action in this module is a row of ``action_table``: each element
-of W acts on a point by one precomputed row of source indices, in the group's
-own element order.  The chi-orbit flag pairs those rows with the character's
-exponent table; the H-orbit census marks the rows whose element lies in H.
+of W acts on a point by one row of source indices, the inverse of its image
+tuple, in the group's own element order.  A row is applied to a point p with
+one expression, ``tuple([p[i] for i in row])``.  The chi-orbit flag pairs the
+rows with the character's exponent table; the H-orbit census marks the rows
+whose element lies in H.
 """
 
 from __future__ import annotations
@@ -18,15 +20,16 @@ from dataclasses import dataclass, replace
 from .caps import Caps, CapExceeded, DEFAULT_CAPS
 from .characters import LinearCharacter
 from .cyclo import Cyclotomic
-from .perms import PermGroup
+from .perms import PermGroup, inverse
 from .polys import MonomialPoly
 
 Point = tuple[int, ...]
 
 
 def action_table(W: PermGroup) -> list[tuple[int, ...]]:
-    """For each group element, the 0-based source position for each target position."""
-    return [tuple(i - 1 for i in g.inverse().images) for g in W.elements]
+    """For each group element g, the 0-based source position for each target
+    position: the image tuple of g^-1, less one."""
+    return [tuple([s - 1 for s in inverse(g)]) for g in W.images]
 
 
 @dataclass(frozen=True)
@@ -67,7 +70,7 @@ def enumerate_orbits(W: PermGroup, n: int, caps: Caps = DEFAULT_CAPS) -> OrbitTa
             orbit = set()
             stab = 0
             for row in table:
-                q = tuple(p[row[s]] for s in range(d))
+                q = tuple([p[i] for i in row])
                 orbit.add(q)
                 if q == p:
                     stab += 1

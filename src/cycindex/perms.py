@@ -1,13 +1,17 @@
 """Permutations on {1,...,d} and permutation groups stored as explicit element lists.
 
+A group element is its image tuple, ``images[s-1]`` the image of the point s,
+or its index in the group's element order; ``compose``, ``inverse`` and
+``cycle_type`` act on image tuples.  ``Permutation`` is the boundary type: it
+parses cycle notation, names a group's generators, prints elements in error
+messages, and is what iterating over a ``PermGroup`` yields.
 Every group is closed by one capped breadth-first walk, ``_bfs_order``, which
 fixes the element order and records the right-multiplication table:
-``right[k][i]`` is the index of ``elements[i] * generators[k]``, one compact
+``right[k][i]`` is the index of ``images[i] * generators[k]``, one compact
 ``array`` row per generator.  The walk, and the greedy closures built on it
 (``from_elements``, ``derived_subgroup``), run on raw image tuples.  Every
 ``PermGroup`` holds its table from construction: a group given by an element
-list, such as a direct product, builds it in the constructor.  Elements are
-wrapped in ``Permutation`` objects only when they are read.
+list, such as a direct product, builds it in the constructor.
 Points are 1-based throughout.  ``compose(a, b)`` applies ``b`` first, so the
 induced coordinate action on tuples is a left action.
 """
@@ -17,18 +21,19 @@ from __future__ import annotations
 import re
 from array import array
 from dataclasses import dataclass
-from math import lcm
 from operator import itemgetter
 from typing import Callable, Iterable, Sequence
 
 from .caps import Caps, CapExceeded, DEFAULT_CAPS
+
+Images = tuple[int, ...]
 
 
 @dataclass(frozen=True)
 class Permutation:
     """A bijection of {1,...,d}; ``images[s-1]`` is the image of the point s."""
 
-    images: tuple[int, ...]
+    images: Images
 
     def __post_init__(self):
         if sorted(self.images) != list(range(1, len(self.images) + 1)):
@@ -40,12 +45,6 @@ class Permutation:
 
     def __call__(self, s: int) -> int:
         return self.images[s - 1]
-
-    def inverse(self) -> "Permutation":
-        inv = [0] * self.degree
-        for s, t in enumerate(self.images, start=1):
-            inv[t - 1] = s
-        return _trusted(tuple(inv))
 
     def is_identity(self) -> bool:
         return all(t == s for s, t in enumerate(self.images, start=1))
@@ -68,9 +67,6 @@ class Permutation:
                 out.append(tuple(cyc))
         return out
 
-    def order(self) -> int:
-        return lcm(*map(len, self.cycles()))
-
     def cycle_string(self) -> str:
         cycs = self.cycles()
         if not cycs:
@@ -81,34 +77,41 @@ class Permutation:
         return f"Permutation[{self.degree}]{self.cycle_string()}"
 
 
-def _trusted(images: tuple[int, ...]) -> Permutation:
+def _trusted(images: Images) -> Permutation:
     """A Permutation built without the bijection check, for images that are one by
-    construction (products and inverses of checked permutations)."""
+    construction (elements and generators of a group, restrictions of them)."""
     p = object.__new__(Permutation)
     object.__setattr__(p, "images", images)
     return p
 
 
-def identity(degree: int) -> Permutation:
-    return Permutation(tuple(range(1, degree + 1)))
+def compose(a: Images, b: Images) -> Images:
+    """a after b: compose(a, b)[s-1] = a(b(s))."""
+    if len(a) != len(b):
+        raise ValueError(f"degree mismatch: {len(a)} != {len(b)}")
+    return tuple([a[t - 1] for t in b])
 
 
-def compose(a: Permutation, b: Permutation) -> Permutation:
-    """a after b: (compose(a, b))(s) = a(b(s))."""
-    if a.degree != b.degree:
-        raise ValueError(f"degree mismatch: {a.degree} != {b.degree}")
-    first = a.images
-    return _trusted(tuple([first[t - 1] for t in b.images]))
+def inverse(g: Images) -> Images:
+    """The image tuple of g^-1."""
+    inv = [0] * len(g)
+    for s, t in enumerate(g, start=1):
+        inv[t - 1] = s
+    return tuple(inv)
 
 
-def cycle_type(sigma: Permutation) -> tuple[int, ...]:
-    """(c_1,...,c_d) where c_s counts the s-cycles of sigma, fixed points included."""
-    d = sigma.degree
-    counts = [0] * d
-    counts[0] = d
-    for cyc in sigma.cycles():
-        counts[len(cyc) - 1] += 1
-        counts[0] -= len(cyc)
+def cycle_type(g: Images) -> tuple[int, ...]:
+    """(c_1,...,c_d) where c_s counts the s-cycles of g, fixed points included."""
+    counts = [0] * len(g)
+    seen = bytearray(len(g) + 1)
+    for start in range(1, len(g) + 1):
+        if not seen[start]:
+            length, t = 0, start
+            while not seen[t]:
+                seen[t] = 1
+                t = g[t - 1]
+                length += 1
+            counts[length - 1] += 1
     return tuple(counts)
 
 
@@ -141,9 +144,6 @@ def perm_from_cycles(text: str, degree: int) -> Permutation:
     return Permutation(tuple(images))
 
 
-Images = tuple[int, ...]
-
-
 def _right_mul(g: Images) -> Callable[[Images], Images]:
     """The map e -> e * g on image tuples (g applied first)."""
     if len(g) == 1:
@@ -155,26 +155,18 @@ class PermGroup:
     """A permutation group given by its full element list, identity first.
 
     ``images`` holds the elements as image tuples and ``image_index`` maps each
-    to its position; ``elements`` wraps them as ``Permutation`` objects on first
-    read.  ``right[k][i]`` is the index of ``elements[i] * generators[k]``.
+    to its position; ``generators`` names the generators as ``Permutation``
+    objects.  ``right[k][i]`` is the index of ``images[i] * generators[k]``.
+    The constructor takes image tuples and builds the index and the table when
+    they are not given.
     """
 
-    def __init__(self, degree: int, elements: Sequence[Permutation],
-                 generators: Sequence[Permutation]):
-        self._setup(degree, [p.images for p in elements], [g.images for g in generators])
-
-    @classmethod
-    def _of_images(cls, degree: int, images: Sequence[Images], gen_images: Sequence[Images],
-                   image_index: dict[Images, int] | None = None,
-                   right: list[array] | None = None) -> "PermGroup":
-        group = cls.__new__(cls)
-        group._setup(degree, images, gen_images, image_index, right)
-        return group
-
-    def _setup(self, degree, images, gen_images, image_index=None, right=None):
+    def __init__(self, degree: int, images: Sequence[Images], generators: Sequence[Images],
+                 image_index: dict[Images, int] | None = None,
+                 right: list[array] | None = None):
         self.degree = degree
         self.images = tuple(images)
-        self.generators = tuple(map(_trusted, gen_images))
+        self.generators = tuple(map(_trusted, generators))
         if not self.images or self.images[0] != tuple(range(1, degree + 1)):
             raise ValueError("element list must start with the identity")
         if image_index is None:
@@ -184,31 +176,20 @@ class PermGroup:
             try:
                 right = [array("i", map(image_index.__getitem__,
                                         map(_right_mul(g), self.images)))
-                         for g in gen_images]
+                         for g in generators]
             except KeyError:
                 raise ValueError("element list is not closed under the generators") from None
         self.right = right
-        self._elements: tuple[Permutation, ...] | None = None
-
-    @property
-    def elements(self) -> tuple[Permutation, ...]:
-        if self._elements is None:
-            self._elements = tuple(map(_trusted, self.images))
-        return self._elements
 
     @property
     def order(self) -> int:
         return len(self.images)
 
-    @property
-    def identity(self) -> Permutation:
-        return _trusted(self.images[0])
-
     def __len__(self):
         return len(self.images)
 
     def __iter__(self):
-        return iter(self.elements)
+        return map(_trusted, self.images)
 
     def __contains__(self, p: Permutation) -> bool:
         return p.images in self.image_index
@@ -231,14 +212,14 @@ class PermGroup:
         return self.degree == other.degree and self.image_index.keys() <= other.image_index.keys()
 
     @staticmethod
-    def from_elements(elements: Iterable[Permutation]) -> "PermGroup":
-        """Build a group from its element set; ValueError if the set is not a group.
+    def from_elements(elements: Iterable[Images]) -> "PermGroup":
+        """Build a group from its elements as image tuples; ValueError if they are not a group.
 
         Generators are chosen greedily in sorted order (``_greedy_closure``),
         and no closure may grow past the size of the set.  The elements come in
         the BFS order of the last closure.
         """
-        elems = list(dict.fromkeys(p.images for p in elements))
+        elems = list(dict.fromkeys(elements))
         if not elems:
             raise ValueError("empty element list")
         degree = len(elems[0])
@@ -261,7 +242,7 @@ def _greedy_closure(candidates: Iterable[Images], degree: int, caps: Caps) -> Pe
         if p not in image_index:
             gens.append(p)
             images, image_index, right = _bfs_order(gens, degree, caps)
-    return PermGroup._of_images(degree, images, gens, image_index, right)
+    return PermGroup(degree, images, gens, image_index, right)
 
 
 def _check_table(order: int, degree: int, caps: Caps) -> None:
@@ -318,7 +299,7 @@ def group_closure(generators: Iterable[Permutation], degree: int | None = None,
         raise ValueError("degree must be positive")
     gen_images = [g.images for g in gens]
     images, image_index, right = _bfs_order(gen_images, degree, caps)
-    return PermGroup._of_images(degree, images, gen_images, image_index, right)
+    return PermGroup(degree, images, gen_images, image_index, right)
 
 
 def named_group(kind: str, d: int, caps: Caps = DEFAULT_CAPS) -> PermGroup:
@@ -355,7 +336,7 @@ def direct_product_embed(W: PermGroup, V: PermGroup, caps: Caps = DEFAULT_CAPS) 
     images = [sigma + tau for sigma in W.images for tau in shifted]
     gens = [g.images + shifted[0] for g in W.generators]
     gens += [W.images[0] + tuple([t + d for t in g.images]) for g in V.generators]
-    return PermGroup._of_images(d + r, images, gens)
+    return PermGroup(d + r, images, gens)
 
 
 def split_product_element(g: Permutation, d: int, r: int) -> tuple[Permutation, Permutation]:
@@ -424,16 +405,6 @@ def decompose_wreath_element(g: Permutation, r: int, d: int,
         if tau not in V:
             raise ValueError(f"within-block map {tau!r} not in the block group")
     return sigma, tuple(taus)
-
-
-def reconstruct_wreath_element(sigma: Permutation, taus: Sequence[Permutation],
-                               r: int, d: int) -> Permutation:
-    """Inverse of decompose_wreath_element."""
-    images = [0] * (d * r)
-    for s in range(1, d + 1):
-        for t in range(1, r + 1):
-            images[(s - 1) * r + t - 1] = (sigma(s) - 1) * r + taus[s - 1](t)
-    return Permutation(tuple(images))
 
 
 def derived_subgroup(G: PermGroup, caps: Caps = DEFAULT_CAPS) -> PermGroup:

@@ -16,7 +16,7 @@ p_s -> Z_V(p_s, p_2s, ...) gives the insertion rule (``plethysm_insert``).
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations, zip_longest
+from itertools import zip_longest
 from typing import Callable, Iterable, Mapping
 
 from .caps import Caps, CapExceeded, DEFAULT_CAPS
@@ -190,12 +190,6 @@ class MonomialPoly(_SparsePoly):
     def one(nvars: int) -> "MonomialPoly":
         return MonomialPoly(nvars, {(0,) * nvars: Cyclotomic.one()})
 
-    def evaluate_all_ones(self) -> Cyclotomic:
-        total = Cyclotomic.zero()
-        for coeff in self.terms.values():
-            total = total + coeff
-        return total
-
 
 # The power-sum operations the product and insertion rules are checked with.
 psum_mul = PowerSumPoly.mul
@@ -203,13 +197,18 @@ psum_sub = PowerSumPoly.sub
 
 
 def cycle_index(G: PermGroup, chi: LinearCharacter) -> PowerSumPoly:
-    """Generalized cycle index: |W|^-1 sum over sigma of chi(sigma) p^cycle_type(sigma)."""
+    """Generalized cycle index: |W|^-1 sum over sigma of chi(sigma) p^cycle_type(sigma).
+
+    The values are summed in the element order of chi's group, one shared
+    root of unity per exponent.
+    """
     if chi.group != G:
         raise ValueError("character is defined on a different group")
+    roots = {e: Cyclotomic.root_of_unity(chi.order_m, e) for e in set(chi.exponents)}
     acc: dict[tuple[int, ...], Cyclotomic] = {}
-    for sigma, e in zip(chi.group.elements, chi.exponents):
+    for sigma, e in zip(chi.group.images, chi.exponents):
         key = cycle_type(sigma)
-        value = Cyclotomic.root_of_unity(chi.order_m, e)
+        value = roots[e]
         prev = acc.get(key)
         acc[key] = value if prev is None else prev + value
     scale = Fraction(1, G.order)
@@ -271,18 +270,6 @@ def plethysm_insert(Z_outer: PowerSumPoly, Z_inner: PowerSumPoly,
     """Insertion: substitute p_s -> Z_inner(p_s, p_2s, ..., p_rs) inside Z_outer."""
     return _substitute(Z_outer, lambda s: psum_reindex(Z_inner, s), PowerSumPoly.unit(),
                        PowerSumPoly.zero(Z_outer.weight * Z_inner.weight), caps)
-
-
-def elementary_symmetric(d: int, n: int) -> MonomialPoly:
-    """e_d in the n+1 variables x_0..x_n; zero when d > n+1."""
-    nvars = n + 1
-    terms = {}
-    for subset in combinations(range(nvars), d):
-        exps = [0] * nvars
-        for i in subset:
-            exps[i] = 1
-        terms[tuple(exps)] = Cyclotomic.one()
-    return MonomialPoly(nvars, terms)
 
 
 def is_symmetric(P: MonomialPoly) -> bool:

@@ -32,7 +32,7 @@ from .caps import Caps, CapExceeded, DEFAULT_CAPS
 from .characters import LinearCharacter, enumerate_linear_characters
 from .cyclo import Cyclotomic, CyclotomicIntegers
 from .orbits import action_table
-from .perms import PermGroup, compose
+from .perms import PermGroup, Permutation, compose, inverse
 
 Column = dict[int, object]  # row -> nonzero element of a CyclotomicIntegers ring
 
@@ -93,17 +93,20 @@ class MonomialModule:
     def validate_cocycle(self) -> None:
         """gamma_i(gh) = gamma_{h.i}(g) gamma_i(h) for all g, h, i (exhaustive)."""
         G = self.group
-        for a, g in enumerate(G.elements):
-            for b, h in enumerate(G.elements):
-                if not self._check_law(a, b, G.index(compose(g, h))):
-                    raise ValueError(f"cocycle law fails at (g={g!r}, h={h!r})")
+        for a, g in enumerate(G.images):
+            for b, h in enumerate(G.images):
+                if not self._check_law(a, b, G.image_index[compose(g, h)]):
+                    raise ValueError(f"cocycle law fails at (g={Permutation(g)!r}, "
+                                     f"h={Permutation(h)!r})")
 
     def validate_representation(self) -> None:
-        """The monomial action of g h is that of g after h, on the group generators."""
+        """The monomial action of g h is that of g after h, on the group generators;
+        the index of g h is read off the right-multiplication table."""
         G = self.group
         for g in G.generators:
-            for h in G.generators:
-                if not self._check_law(G.index(g), G.index(h), G.index(compose(g, h))):
+            a = G.index(g)
+            for h, row in zip(G.generators, G.right):
+                if not self._check_law(a, G.index(h), row[a]):
                     raise ValueError(
                         f"monomial action is not a representation at ({g!r}, {h!r})")
 
@@ -114,8 +117,8 @@ class MonomialModule:
         m = lcm(alpha.order_m, self.gamma_order)
         sa, sg = m // alpha.order_m, m // self.gamma_order
         weights = []
-        for g, gam in zip(self.group.elements, self.gamma_exp):
-            e = alpha.exponent(g) * sa
+        for e, gam in zip(alpha.exponents_in(self.group), self.gamma_exp):
+            e *= sa
             weights.append([(e + k * sg) % m for k in gam])
         return CyclotomicIntegers(m), weights
 
@@ -426,9 +429,8 @@ def random_gamma_family(W: PermGroup, n: int, seed: int,
     choices = []
     for rep in reps:
         members = [i for i in range(base.dim) if rep_of[i] == rep]
-        stab_elems = [g for gi, g in enumerate(W.elements)
-                      if base.point_map[gi][rep] == rep]
-        stab = PermGroup.from_elements(stab_elems)
+        stab = PermGroup.from_elements(g for g, pm in zip(W.images, base.point_map)
+                                       if pm[rep] == rep)
         stab_chars = enumerate_linear_characters(stab, caps=caps)
         lam = stab_chars[rng.randrange(len(stab_chars))]
         u_exp = {i: (0 if i == rep else rng.randrange(transversal_order))
@@ -438,14 +440,15 @@ def random_gamma_family(W: PermGroup, n: int, seed: int,
     gamma: dict[tuple[int, int], int] = {}
     for rep, members, lam, u_exp in choices:
         su, sl = order // transversal_order, order // lam.order_m
+        stab_index = lam.group.image_index  # the stabilizer of rep
         for i in members:
-            g_i = W.elements[via[i]]
-            for gj, g in enumerate(W.elements):
+            g_i = W.images[via[i]]
+            for gj, g in enumerate(W.images):
                 target = base.point_map[gj][i]
-                g_t = W.elements[via[target]]
-                inner = compose(compose(g_t.inverse(), g), g_i)
-                if base.point_map[W.index(inner)][rep] != rep:
+                inner = compose(compose(inverse(W.images[via[target]]), g), g_i)
+                k = stab_index.get(inner)
+                if k is None:
                     raise AssertionError("transversal transport left the stabilizer")
                 gamma[(gj, i)] = ((u_exp[target] - u_exp[i]) * su
-                                  + lam.exponent(inner) * sl) % order
+                                  + lam.exponents[k] * sl) % order
     return MonomialModule(W, n, gamma=gamma, gamma_order=order, caps=caps)

@@ -1,7 +1,83 @@
-"""Reference definitions that the tests check the package against."""
+"""Reference definitions that the tests check the package against.
+
+The package itself works on image tuples; these helpers work on
+``Permutation`` objects and plain definitions, and nothing in ``src/`` calls
+them.
+"""
+
+from itertools import combinations
+from math import lcm
+
+from cycindex import Cyclotomic, MonomialPoly, Permutation, cyclotomic_polynomial
 
 
 def apply_perm(sigma, point):
     """sigma . (j_1, ..., j_d) = (j_{sigma^-1(1)}, ..., j_{sigma^-1(d)}), 0-based coordinates."""
-    inv = sigma.inverse().images
-    return tuple(point[inv[s] - 1] for s in range(len(point)))
+    source = {t: s for s, t in enumerate(sigma.images)}
+    return tuple(point[source[s + 1]] for s in range(len(point)))
+
+
+def identity(degree):
+    return Permutation(tuple(range(1, degree + 1)))
+
+
+def cycle_type_from_cycles(sigma):
+    """(c_1,...,c_d) counted from ``Permutation.cycles``, fixed points included."""
+    d = sigma.degree
+    counts = [0] * d
+    counts[0] = d
+    for cyc in sigma.cycles():
+        counts[len(cyc) - 1] += 1
+        counts[0] -= len(cyc)
+    return tuple(counts)
+
+
+def perm_order(p):
+    return lcm(*map(len, p.cycles()))
+
+
+def value(chi, g):
+    """chi(g) as a cyclotomic number."""
+    return Cyclotomic.root_of_unity(chi.order_m, chi.exponent(g))
+
+
+def multiplicative_order(z, bound=10_000):
+    """Order of z as a root of unity; raises if it is not one."""
+    acc = Cyclotomic.one()
+    for t in range(1, bound + 1):
+        acc = acc * z
+        if acc == Cyclotomic.one():
+            return t
+    raise ValueError(f"{z!r} is not a root of unity of order <= {bound}")
+
+
+def euler_phi(m):
+    return len(cyclotomic_polynomial(m)) - 1
+
+
+def evaluate_all_ones(P):
+    total = Cyclotomic.zero()
+    for coeff in P.terms.values():
+        total = total + coeff
+    return total
+
+
+def elementary_symmetric(d, n):
+    """e_d in the n+1 variables x_0..x_n; zero when d > n+1."""
+    nvars = n + 1
+    terms = {}
+    for subset in combinations(range(nvars), d):
+        exps = [0] * nvars
+        for i in subset:
+            exps[i] = 1
+        terms[tuple(exps)] = Cyclotomic.one()
+    return MonomialPoly(nvars, terms)
+
+
+def reconstruct_wreath_element(sigma, taus, r, d):
+    """Inverse of ``decompose_wreath_element``."""
+    images = [0] * (d * r)
+    for s in range(1, d + 1):
+        for t in range(1, r + 1):
+            images[(s - 1) * r + t - 1] = (sigma(s) - 1) * r + taus[s - 1](t)
+    return Permutation(tuple(images))

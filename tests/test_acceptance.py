@@ -10,8 +10,7 @@ from fractions import Fraction
 from itertools import product as iproduct
 
 from cycindex import (Cyclotomic, PowerSumPoly, cycle_index,
-                      direct_product_embed, elementary_symmetric,
-                      enumerate_linear_characters, full_census, index_set_J,
+                      direct_product_embed, enumerate_linear_characters, full_census, index_set_J,
                       named_group, plethysm_insert, product_character,
                       psum_mul, psum_sub, sign_character, specialize,
                       unit_character, weighted_sum_g, wreath_character,
@@ -23,6 +22,7 @@ from cycindex.cli import EXIT_OK, run_suite
 from cycindex.grammar import parse_character, parse_group
 from cycindex.perms import cycle_type
 from cycindex.projector import MonomialModule, verify_basis_prop
+from oracles import elementary_symmetric, evaluate_all_ones, value
 
 CAPS = caps_from_env()
 
@@ -70,10 +70,10 @@ def test_02_trivial_character_reduces_to_orbit_counting(capsys):
         W = spec.group
         lhs = weighted_sum_g(W, chi, n, caps=CAPS)
         rhs = specialize(cycle_index(W, chi), n, caps=CAPS)
-        fixed = sum((n + 1) ** sum(cycle_type(g)) for g in W)
+        fixed = sum((n + 1) ** sum(cycle_type(g)) for g in W.images)
         ok = ok and lhs == rhs
         ok = ok and fixed % W.order == 0
-        ok = ok and rhs.evaluate_all_ones().as_rational() == fixed // W.order
+        ok = ok and evaluate_all_ones(rhs).as_rational() == fixed // W.order
         checked += 1
     _report(capsys, f"2 trivial character gives plain orbit counts "
                     f"({checked} cases)", ok and checked > 50)
@@ -87,7 +87,7 @@ def test_03_nonunit_characters_vanish_at_single_value(capsys):
             at0 = specialize(cycle_index(spec.group, chi), 0, caps=CAPS)
             total = Cyclotomic.zero()
             for g in spec.group:
-                total = total + chi.value(g)
+                total = total + value(chi, g)
             if chi.is_unit():
                 ok = ok and len(at0.terms) == 1 and at0.coefficient((d,)) == 1
                 ok = ok and total == Cyclotomic.from_rational(spec.group.order)

@@ -8,14 +8,14 @@ from cycindex import (chi_orbit_filter, cycle_index, cycle_type,
                       named_group, sign_character, specialize, unit_character,
                       weighted_sum_g)
 from cycindex.caps import CapExceeded, Caps
-from cycindex.orbits import census_json, census_tsv
+from cycindex.orbits import action_table, census_json, census_tsv
 from cycindex.perms import PermGroup
-from oracles import apply_perm
+from oracles import apply_perm, evaluate_all_ones
 
 
 def burnside_orbit_count(W, n):
     """Oracle: average number of fixed hypercube points, (n+1)^(number of cycles)."""
-    total = sum((n + 1) ** sum(cycle_type(g)) for g in W)
+    total = sum((n + 1) ** sum(cycle_type(g)) for g in W.images)
     assert total % W.order == 0
     return total // W.order
 
@@ -216,7 +216,7 @@ class TestOrbitIdentity:
             chi = unit_character(W)
             rhs = specialize(cycle_index(W, chi), 2)
             assert weighted_sum_g(W, chi, 2) == rhs
-            ones = rhs.evaluate_all_ones().as_rational()
+            ones = evaluate_all_ones(rhs).as_rational()
             assert ones == burnside_orbit_count(W, 2)
 
     def test_truncation_coherence(self, C4):
@@ -234,7 +234,7 @@ class TestReorderedGroup:
     @pytest.mark.parametrize("n", [1, 2])
     def test_same_results_as_on_w(self, kind, d, n):
         W = named_group(kind, d)
-        copy = PermGroup.from_elements(W.elements)
+        copy = PermGroup.from_elements(W.images)
         assert copy == W and copy.images != W.images
         on_w = enumerate_linear_characters(W)
         on_copy = enumerate_linear_characters(copy)
@@ -249,6 +249,19 @@ class TestReorderedGroup:
             assert weighted_sum_g(W, theta, n) == weighted_sum_g(W, chi, n)
             assert full_census(W, theta, n) == full_census(W, chi, n)
         assert reordered
+
+
+class TestActionTable:
+    @pytest.mark.parametrize("kind,d", [("symmetric", 4), ("dihedral", 5), ("alternating", 5)])
+    def test_rows_are_the_coordinate_action_on_a_reordered_group(self, kind, d):
+        W = named_group(kind, d)
+        G = PermGroup.from_elements(reversed(W.images))
+        assert G == W and G.images != W.images
+        point = tuple(range(10, 10 + d))  # distinct coordinates pin every row entry
+        rows = action_table(G)
+        assert len(rows) == G.order
+        for row, g in zip(rows, G):
+            assert tuple([point[i] for i in row]) == apply_perm(g, point)
 
 
 class TestExports:

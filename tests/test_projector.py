@@ -12,7 +12,7 @@ from cycindex.cli import _tampered
 from cycindex.cyclo import CyclotomicIntegers
 from cycindex.projector import (SparseMatrix, _Packing, check_idempotent,
                                 rank_of_columns)
-from oracles import apply_perm
+from oracles import apply_perm, value
 
 
 def entrywise_product(A, B):
@@ -92,12 +92,12 @@ class TestDefinitionOracle:
     def _definition(M, alpha):
         G = M.group
         expected = {}
-        for gi, g in enumerate(G.elements):
+        for gi, g in enumerate(G):
             for c, point in enumerate(M.points):
                 r = M.index(apply_perm(g, point))
                 gamma = (Cyclotomic.one() if M.gamma is None else
                          Cyclotomic.root_of_unity(M.gamma_order, M.gamma[(gi, c)]))
-                term = alpha.value(g) * gamma * Fraction(1, G.order)
+                term = value(alpha, g) * gamma * Fraction(1, G.order)
                 expected[(r, c)] = expected.get((r, c), Cyclotomic.zero()) + term
         return expected
 
