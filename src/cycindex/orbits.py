@@ -125,15 +125,15 @@ def weighted_sum_g(W: PermGroup, chi: LinearCharacter, n: int,
                    caps: Caps = DEFAULT_CAPS) -> MonomialPoly:
     """g_n = sum of x_{j_1}...x_{j_d} over J(n, d, chi)."""
     nvars = n + 1
-    terms: dict[tuple[int, ...], Cyclotomic] = {}
+    counts: dict[tuple[int, ...], int] = {}
     for rep in index_set_J(W, chi, n, caps=caps):
         exps = [0] * nvars
         for j in rep:
             exps[j] += 1
         key = tuple(exps)
-        prev = terms.get(key)
-        terms[key] = Cyclotomic.one() if prev is None else prev + 1
-    return MonomialPoly(nvars, terms)
+        counts[key] = counts.get(key, 0) + 1
+    return MonomialPoly(nvars, {key: Cyclotomic.from_rational(count)
+                                for key, count in counts.items()})
 
 
 def h_orbit_census(table: OrbitTable, H: PermGroup) -> OrbitTable:

@@ -8,8 +8,9 @@ variable names.  Term order for printing is reverse lexicographic on padded
 exponent vectors, which is graded for the isobaric and homogeneous
 polynomials produced here.
 
-The algebra side is one substitution into Z(chi; p_1..p_d), ``_substitute``:
-p_s -> x_0^s + ... + x_n^s gives g_n (``specialize``), and
+The algebra side substitutes into Z(chi; p_1..p_d) term by term:
+p_s -> x_0^s + ... + x_n^s gives g_n (``specialize``), expanded in int counts
+because every coefficient of that image is 1, and
 p_s -> Z_V(p_s, p_2s, ...) gives the insertion rule (``plethysm_insert``).
 """
 
@@ -17,7 +18,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import zip_longest
-from typing import Callable, Iterable, Mapping
+from typing import Iterable, Mapping
 
 from .caps import Caps, CapExceeded, DEFAULT_CAPS
 from .characters import LinearCharacter
@@ -186,10 +187,6 @@ class MonomialPoly(_SparsePoly):
     def zero(nvars: int) -> "MonomialPoly":
         return MonomialPoly(nvars, {})
 
-    @staticmethod
-    def one(nvars: int) -> "MonomialPoly":
-        return MonomialPoly(nvars, {(0,) * nvars: Cyclotomic.one()})
-
 
 # The power-sum operations the product and insertion rules are checked with.
 psum_mul = PowerSumPoly.mul
@@ -215,39 +212,46 @@ def cycle_index(G: PermGroup, chi: LinearCharacter) -> PowerSumPoly:
     return PowerSumPoly(G.degree, {k: v * scale for k, v in acc.items()})
 
 
-def _substitute(Z: PowerSumPoly, image: Callable[[int], _SparsePoly],
-                one: _SparsePoly, zero: _SparsePoly, caps: Caps) -> _SparsePoly:
-    """Z with every p_s replaced by image(s), expanded term by term."""
-    images: dict[int, _SparsePoly] = {}
-    result = zero
-    for exps, coeff in Z.sorted_terms():
-        prod = one
-        for s, c in enumerate(exps, start=1):
-            if c and s not in images:
-                images[s] = image(s)
-            for _ in range(c):
-                prod = prod.mul(images[s], caps)
-        result = result.add(prod.scale(coeff))
-    return result
-
-
-def power_sum_in_vars(s: int, nvars: int) -> MonomialPoly:
-    """p_s = x_0^s + ... + x_{n}^s in nvars = n+1 variables."""
-    terms = {}
-    for i in range(nvars):
-        exps = [0] * nvars
-        exps[i] = s
-        terms[tuple(exps)] = Cyclotomic.one()
-    return MonomialPoly(nvars, terms)
-
-
 def specialize(Z: PowerSumPoly, n: int, caps: Caps = DEFAULT_CAPS) -> MonomialPoly:
-    """Substitute p_s -> x_0^s + ... + x_n^s and expand exactly."""
+    """Substitute p_s -> x_0^s + ... + x_n^s and expand exactly.
+
+    A term's product of power sums is expanded one factor p_s at a time, s
+    ascending, as int counts of exponent vectors.  ``stack[k]`` holds the
+    expansion of the first k factors of the previous term, so the prefix two
+    consecutive terms share is expanded once.  Each count is scaled by the
+    term's coefficient and summed in ``sorted_terms`` order, the order that
+    fixes the conductor a non-rational sum is stored at.
+    """
     if n < 0:
         raise ValueError("n must be nonnegative")
     nvars = n + 1
-    result = _substitute(Z, lambda s: power_sum_in_vars(s, nvars),
-                         MonomialPoly.one(nvars), MonomialPoly.zero(nvars), caps)
+    stack: list[dict[tuple[int, ...], int]] = [{(0,) * nvars: 1}]
+    factors: list[int] = []
+    acc: dict[tuple[int, ...], Cyclotomic] = {}
+    for exps, coeff in Z.sorted_terms():
+        term_factors = [s for s, c in enumerate(exps, start=1) for _ in range(c)]
+        shared = 0
+        for a, b in zip(factors, term_factors):
+            if a != b:
+                break
+            shared += 1
+        del stack[shared + 1:]
+        for s in term_factors[shared:]:
+            base = stack[-1]
+            if len(base) * nvars > caps.specialize_terms:
+                raise CapExceeded("monomial product exceeds the term cap")
+            expanded: dict[tuple[int, ...], int] = {}
+            for key, count in base.items():
+                for i in range(nvars):
+                    moved = key[:i] + (key[i] + s,) + key[i + 1:]
+                    expanded[moved] = expanded.get(moved, 0) + count
+            stack.append(expanded)
+        factors = term_factors
+        for key, count in stack[-1].items():
+            value = coeff if count == 1 else coeff * count
+            prev = acc.get(key)
+            acc[key] = value if prev is None else prev + value
+    result = MonomialPoly(nvars, acc)
     if not is_symmetric(result):
         raise AssertionError("specialized cycle index is not symmetric")
     return result
@@ -268,8 +272,17 @@ def psum_reindex(Z: PowerSumPoly, s: int) -> PowerSumPoly:
 def plethysm_insert(Z_outer: PowerSumPoly, Z_inner: PowerSumPoly,
                     caps: Caps = DEFAULT_CAPS) -> PowerSumPoly:
     """Insertion: substitute p_s -> Z_inner(p_s, p_2s, ..., p_rs) inside Z_outer."""
-    return _substitute(Z_outer, lambda s: psum_reindex(Z_inner, s), PowerSumPoly.unit(),
-                       PowerSumPoly.zero(Z_outer.weight * Z_inner.weight), caps)
+    images: dict[int, PowerSumPoly] = {}
+    result = PowerSumPoly.zero(Z_outer.weight * Z_inner.weight)
+    for exps, coeff in Z_outer.sorted_terms():
+        prod = PowerSumPoly.unit()
+        for s, c in enumerate(exps, start=1):
+            if c and s not in images:
+                images[s] = psum_reindex(Z_inner, s)
+            for _ in range(c):
+                prod = prod.mul(images[s], caps)
+        result = result.add(prod.scale(coeff))
+    return result
 
 
 def is_symmetric(P: MonomialPoly) -> bool:

@@ -9,6 +9,7 @@ from itertools import combinations
 from math import lcm
 
 from cycindex import Cyclotomic, MonomialPoly, Permutation, cyclotomic_polynomial
+from cycindex.caps import DEFAULT_CAPS
 
 
 def apply_perm(sigma, point):
@@ -81,3 +82,26 @@ def reconstruct_wreath_element(sigma, taus, r, d):
         for t in range(1, r + 1):
             images[(s - 1) * r + t - 1] = (sigma(s) - 1) * r + taus[s - 1](t)
     return Permutation(tuple(images))
+
+
+def specialize_by_substitution(Z, n, caps=DEFAULT_CAPS):
+    """g_n by polynomial substitution: each term's product of the MonomialPolys
+    p_s = x_0^s + ... + x_n^s, formed with ``MonomialPoly.mul`` (and its term
+    cap) from scratch, scaled by the coefficient and added in ``sorted_terms``
+    order."""
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    nvars = n + 1
+
+    def power_sum(s):
+        return MonomialPoly(nvars, {tuple(s if j == i else 0 for j in range(nvars)):
+                                    Cyclotomic.one() for i in range(nvars)})
+
+    result = MonomialPoly.zero(nvars)
+    for exps, coeff in Z.sorted_terms():
+        prod = MonomialPoly(nvars, {(0,) * nvars: Cyclotomic.one()})
+        for s, c in enumerate(exps, start=1):
+            for _ in range(c):
+                prod = prod.mul(power_sum(s), caps)
+        result = result.add(prod.scale(coeff))
+    return result

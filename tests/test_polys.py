@@ -2,13 +2,17 @@ from fractions import Fraction
 
 import pytest
 import sympy
+from hypothesis import given, settings, strategies as st
 
-from cycindex import (Cyclotomic, MonomialPoly, PowerSumPoly, cycle_index,
-                      enumerate_linear_characters, is_symmetric, named_group,
-                      plethysm_insert, psum_mul, psum_sub, sign_character,
-                      specialize, unit_character, wreath_embed, wreath_character)
+from cycindex import (Cyclotomic, LinearCharacter, MonomialPoly, PowerSumPoly,
+                      cycle_index, enumerate_linear_characters, is_symmetric,
+                      named_group, plethysm_insert, psum_mul, psum_sub,
+                      sign_character, specialize, unit_character, wreath_embed,
+                      wreath_character)
 from cycindex.caps import CapExceeded, Caps
-from oracles import cycle_type_from_cycles, elementary_symmetric
+from cycindex.cli import JobSpec, run
+from oracles import (cycle_type_from_cycles, elementary_symmetric,
+                     specialize_by_substitution)
 
 
 def sympy_poly(mono: MonomialPoly):
@@ -107,6 +111,69 @@ class TestSpecialize:
         Z = cycle_index(S4, unit_character(S4))
         with pytest.raises(CapExceeded):
             specialize(Z, 3, caps=Caps(specialize_terms=2))
+
+    def test_high_degree_expands_without_recursion(self):
+        Z = PowerSumPoly(1200, {(1200,): Cyclotomic.one()})
+        assert specialize(Z, 0) == MonomialPoly(1, {(1200,): Cyclotomic.one()})
+        assert run(JobSpec(command="verify", group_expr="C(1200)", n=0)) == (0, "x0^1200\n")
+
+
+SMALL_GROUPS = [named_group(kind, d) for kind, d in [
+    ("symmetric", 3), ("symmetric", 4), ("dihedral", 4), ("dihedral", 5),
+    ("cyclic", 6), ("alternating", 4)]]
+
+
+@st.composite
+def random_exponent_tables(draw):
+    """A value table that need not be a homomorphism, as the tampered characters."""
+    G = draw(st.sampled_from(SMALL_GROUPS))
+    m = draw(st.sampled_from([3, 4, 5, 6, 12]))
+    rest = draw(st.lists(st.integers(0, m - 1), min_size=G.order - 1,
+                         max_size=G.order - 1))
+    return LinearCharacter(G, m, (0, *rest), name="random")
+
+
+def _hits_term_cap(route, Z, n, caps):
+    try:
+        route(Z, n, caps)
+    except CapExceeded:
+        return True
+    return False
+
+
+class TestSpecializeAgainstSubstitution:
+    """``specialize`` against the MonomialPoly substitution route of
+    ``oracles.specialize_by_substitution``."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(random_exponent_tables(), st.integers(0, 3))
+    def test_same_text_and_json_as_the_substitution_route(self, chi, n):
+        Z = cycle_index(chi.group, chi)
+        got, want = specialize(Z, n), specialize_by_substitution(Z, n)
+        assert got.render_text() == want.render_text()
+        assert got.to_json() == want.to_json()
+
+    def test_terms_are_summed_in_sorted_order(self):
+        # z12 - z12 cancels to a rational before z4 is added, so x0^3 is stored
+        # at conductor 4; summed in another order it would print as z12^3
+        z12, z4 = Cyclotomic.root_of_unity(12, 1), Cyclotomic.root_of_unity(4, 1)
+        Z = PowerSumPoly(3, {(3,): z12, (1, 1): -z12, (0, 0, 1): z4})
+        got = specialize(Z, 1)
+        assert got.render_text() == ("(z4)*x0^3 + (2*z12)*x0^2*x1 + (2*z12)*x0*x1^2"
+                                     " + (z4)*x1^3")
+        assert got.to_json() == specialize_by_substitution(Z, 1).to_json()
+
+    def test_term_cap_fires_where_the_substitution_route_fires(self):
+        S4, S5 = named_group("symmetric", 4), named_group("symmetric", 5)
+        outcomes = set()
+        for Z, n in [(cycle_index(S4, unit_character(S4)), 3),
+                     (cycle_index(S5, sign_character(S5)), 2)]:
+            for cap in range(1, 101):
+                caps = Caps(specialize_terms=cap)
+                hit = _hits_term_cap(specialize, Z, n, caps)
+                assert hit == _hits_term_cap(specialize_by_substitution, Z, n, caps), (n, cap)
+                outcomes.add(hit)
+        assert outcomes == {True, False}
 
 
 class TestPowerSumAlgebra:
