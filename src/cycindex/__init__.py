@@ -19,7 +19,7 @@ from .perms import (PermGroup, Permutation, compose, cycle_type,
                     direct_product_embed, group_closure, inverse, named_group,
                     perm_from_cycles, wreath_embed)
 from .polys import (MonomialPoly, PowerSumPoly, cycle_index, is_symmetric,
-                    plethysm_insert, psum_mul, psum_sub, specialize)
+                    plethysm_insert, psum_mul, specialize)
 from .projector import (BasisReport, MonomialModule, SparseMatrix,
                         build_projector, check_annihilation,
                         random_gamma_family, verify_basis_prop)
@@ -37,7 +37,7 @@ __all__ = [
     "decompose_wreath_element", "derived_subgroup", "direct_product_embed",
     "group_closure", "inverse", "named_group", "perm_from_cycles", "wreath_embed",
     "MonomialPoly", "PowerSumPoly", "cycle_index", "is_symmetric",
-    "plethysm_insert", "psum_mul", "psum_sub", "specialize",
+    "plethysm_insert", "psum_mul", "specialize",
     "BasisReport", "MonomialModule", "SparseMatrix", "build_projector",
     "check_annihilation", "random_gamma_family", "verify_basis_prop",
 ]

@@ -7,9 +7,12 @@ each orbit is automatically its lexicographically minimal representative.
 Every point action in this module is a row of ``action_table``: each element
 of W acts on a point by one row of source indices, the inverse of its image
 tuple, in the group's own element order.  A row is applied to a point p with
-one expression, ``tuple([p[i] for i in row])``.  The chi-orbit flag pairs the
-rows with the character's exponent table; the H-orbit census marks the rows
-whose element lies in H.
+one expression, ``tuple([p[i] for i in row])``.  ``enumerate_orbits`` applies
+every row to each representative once; that one scan counts the orbit, checks
+orbit-stabilizer and keeps the indices of the rows that fix the
+representative as ``OrbitRecord.stabilizer``.  The chi-orbit flag reads the
+character's exponents at those indices, and the H-orbit census reads W_i and
+H_i from them, so neither computes a stabilizer of its own.
 """
 
 from __future__ import annotations
@@ -36,10 +39,14 @@ def action_table(W: PermGroup) -> list[tuple[int, ...]]:
 class OrbitRecord:
     rep: Point
     size: int
-    stabilizer_order: int
+    stabilizer: tuple[int, ...]  # indices, in W's element order, of the elements fixing rep
     is_chi_orbit: bool | None = None
     tau_H: int | None = None
     h_orbit_length: int | None = None
+
+    @property
+    def stabilizer_order(self) -> int:
+        return len(self.stabilizer)
 
 
 @dataclass(frozen=True)
@@ -67,22 +74,18 @@ def enumerate_orbits(W: PermGroup, n: int, caps: Caps = DEFAULT_CAPS) -> OrbitTa
     for code in range(npoints):
         if not visited[code]:
             p = tuple(point)
-            orbit = set()
-            stab = 0
-            for row in table:
-                q = tuple([p[i] for i in row])
-                orbit.add(q)
-                if q == p:
-                    stab += 1
+            images = [tuple([p[i] for i in row]) for row in table]
+            stab = tuple([k for k, q in enumerate(images) if q == p])
+            orbit = set(images)
             for q in orbit:
                 qcode = 0
                 for v in q:
                     qcode = qcode * radix + v
                 visited[qcode] = 1
             size = len(orbit)
-            if size * stab != W.order:
+            if size * len(stab) != W.order:
                 raise AssertionError("orbit-stabilizer identity violated")
-            records.append(OrbitRecord(rep=p, size=size, stabilizer_order=stab))
+            records.append(OrbitRecord(rep=p, size=size, stabilizer=stab))
         # advance the mixed-radix counter in lex order
         for i in range(d - 1, -1, -1):
             point[i] += 1
@@ -98,20 +101,16 @@ def enumerate_orbits(W: PermGroup, n: int, caps: Caps = DEFAULT_CAPS) -> OrbitTa
 def chi_orbit_filter(table: OrbitTable, chi: LinearCharacter) -> OrbitTable:
     """Mark each orbit whose stabilizers lie in the kernel of chi.
 
-    Every row of ``action_table(chi.group)`` is tried on the representative;
-    the orbit is flagged when chi's exponent is 0 at each row that fixes it.
-    Rows and exponents both follow chi.group's own element order.
+    The orbit is flagged when chi's exponent is 0 at every element of the
+    representative's recorded stabilizer.  Those indices follow the table's
+    group order, so the exponents are read in that order too.
     """
     if chi.group != table.group:
         raise ValueError("character is defined on a different group")
-    rows = action_table(chi.group)
-    records = []
-    for rec in table.records:
-        rep = rec.rep
-        fixed = [e for row, e in zip(rows, chi.exponents)
-                 if tuple([rep[i] for i in row]) == rep]
-        records.append(replace(rec, is_chi_orbit=not any(fixed)))
-    return replace(table, records=tuple(records))
+    exponents = chi.exponents_in(table.group)
+    return replace(table, records=tuple(
+        replace(rec, is_chi_orbit=not any([exponents[k] for k in rec.stabilizer]))
+        for rec in table.records))
 
 
 def index_set_J(W: PermGroup, chi: LinearCharacter, n: int,
@@ -140,6 +139,7 @@ def h_orbit_census(table: OrbitTable, H: PermGroup) -> OrbitTable:
     """Count H-orbits inside each W-orbit and check the index identity at the rep.
 
     Every element of W and of H acts through its row of ``action_table(W)``.
+    W_i is the representative's recorded stabilizer and H_i its elements in H.
     """
     W = table.group
     if not H.is_subgroup_of(W):
@@ -151,8 +151,7 @@ def h_orbit_census(table: OrbitTable, H: PermGroup) -> OrbitTable:
     records = []
     for rec in table.records:
         rep = rec.rep
-        images = [tuple([rep[i] for i in row]) for row in rows]
-        remaining = set(images)
+        remaining = {tuple([rep[i] for i in row]) for row in rows}
         lengths = []
         while remaining:
             seed = min(remaining)
@@ -165,10 +164,9 @@ def h_orbit_census(table: OrbitTable, H: PermGroup) -> OrbitTable:
         if tau * h_len != rec.size:
             raise AssertionError("H-orbits do not partition the W-orbit")
         # |G:H| |H:H_i| = |G:G_i| |G_i:H_i| at the representative
-        stab = [k for k, q in enumerate(images) if q == rep]
-        h_stab_order = sum(1 for k in stab if in_H[k])
+        h_stab_order = sum([in_H[k] for k in rec.stabilizer])
         lhs = index_WH * (H.order // h_stab_order)
-        rhs = rec.size * (len(stab) // h_stab_order)
+        rhs = rec.size * (rec.stabilizer_order // h_stab_order)
         if lhs != rhs:
             raise AssertionError(f"index identity fails at {rec.rep}")
         records.append(replace(rec, tau_H=tau, h_orbit_length=h_len))

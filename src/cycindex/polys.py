@@ -3,8 +3,8 @@
 PowerSumPoly lives in p_1..p_d with cyclotomic coefficients and is isobaric:
 every exponent vector (c_1,...,c_d) satisfies sum(s * c_s) = weight.
 MonomialPoly lives in x_0..x_n.  Both subclass one sparse core,
-``_SparsePoly``, and differ only in the key rule, the size field and the
-variable names.  Term order for printing is reverse lexicographic on padded
+``_SparsePoly``, and differ in the key rule, the size field and the variable
+names; only PowerSumPoly has a product.  Term order for printing is reverse lexicographic on padded
 exponent vectors, which is graded for the isobaric and homogeneous
 polynomials produced here.
 
@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import zip_longest
-from typing import Iterable, Mapping
+from typing import Mapping
 
 from .caps import Caps, CapExceeded, DEFAULT_CAPS
 from .characters import LinearCharacter
@@ -33,8 +33,8 @@ class _SparsePoly:
     variable letter ``VAR`` and the index ``FIRST`` of its first variable, says
     whether zero polynomials of different sizes differ (``SIZE_IN_EQ``), and
     supplies the key rule ``_key`` (normal form of an exponent vector,
-    ValueError if it does not fit) and ``_product_size``.  Terms with a zero
-    coefficient are dropped before their key is looked at.
+    ValueError if it does not fit).  Terms with a zero coefficient are dropped
+    before their key is looked at.
     """
 
     SIZE: str
@@ -49,13 +49,6 @@ class _SparsePoly:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def coefficient(self, exps: Iterable[int]) -> Cyclotomic:
-        try:
-            key = self._key(exps)
-        except ValueError:  # no term can have this exponent vector
-            return Cyclotomic.zero()
-        return self.terms.get(key, Cyclotomic.zero())
-
     def add(self, other):
         if self.size != other.size:
             raise ValueError(f"{self.SIZE} mismatch: {self.size} != {other.size}")
@@ -65,23 +58,8 @@ class _SparsePoly:
             out[exps] = coeff if prev is None else prev + coeff
         return type(self)(self.size, out)
 
-    def sub(self, other):
-        return self.add(other.scale(-1))
-
     def scale(self, factor):
         return type(self)(self.size, {e: c * factor for e, c in self.terms.items()})
-
-    def mul(self, other, caps: Caps = DEFAULT_CAPS):
-        """Product, padding exponent vectors of unequal length with zeros."""
-        if len(self.terms) * len(other.terms) > caps.specialize_terms:
-            raise CapExceeded("monomial product exceeds the term cap")
-        out: dict[tuple[int, ...], Cyclotomic] = {}
-        for ea, ca in self.terms.items():
-            for eb, cb in other.terms.items():
-                key = tuple(x + y for x, y in zip_longest(ea, eb, fillvalue=0))
-                prev = out.get(key)
-                out[key] = ca * cb if prev is None else prev + ca * cb
-        return type(self)(self._product_size(other), out)
 
     def sorted_terms(self) -> list[tuple[tuple[int, ...], Cyclotomic]]:
         width = max((len(e) for e in self.terms), default=0)
@@ -153,8 +131,17 @@ class PowerSumPoly(_SparsePoly):
             raise ValueError(f"term {tuple(key)} is not isobaric of weight {self.size}")
         return tuple(key)
 
-    def _product_size(self, other):
-        return self.size + other.size
+    def mul(self, other: "PowerSumPoly", caps: Caps = DEFAULT_CAPS) -> "PowerSumPoly":
+        """Product, padding exponent vectors of unequal length with zeros."""
+        if len(self.terms) * len(other.terms) > caps.specialize_terms:
+            raise CapExceeded("monomial product exceeds the term cap")
+        out: dict[tuple[int, ...], Cyclotomic] = {}
+        for ea, ca in self.terms.items():
+            for eb, cb in other.terms.items():
+                key = tuple(x + y for x, y in zip_longest(ea, eb, fillvalue=0))
+                prev = out.get(key)
+                out[key] = ca * cb if prev is None else prev + ca * cb
+        return PowerSumPoly(self.weight + other.weight, out)
 
     @staticmethod
     def unit() -> "PowerSumPoly":
@@ -180,17 +167,9 @@ class MonomialPoly(_SparsePoly):
             raise ValueError(f"exponent vector {key} has wrong length")
         return key
 
-    def _product_size(self, other):
-        return self.size
 
-    @staticmethod
-    def zero(nvars: int) -> "MonomialPoly":
-        return MonomialPoly(nvars, {})
-
-
-# The power-sum operations the product and insertion rules are checked with.
+# The power-sum product the product rule is checked with.
 psum_mul = PowerSumPoly.mul
-psum_sub = PowerSumPoly.sub
 
 
 def cycle_index(G: PermGroup, chi: LinearCharacter) -> PowerSumPoly:
@@ -286,11 +265,16 @@ def plethysm_insert(Z_outer: PowerSumPoly, Z_inner: PowerSumPoly,
 
 
 def is_symmetric(P: MonomialPoly) -> bool:
-    """Invariance under every adjacent transposition of the variables."""
-    for i in range(P.nvars - 1):
-        for exps, coeff in P.terms.items():
-            swapped = list(exps)
-            swapped[i], swapped[i + 1] = swapped[i + 1], swapped[i]
-            if P.coefficient(swapped) != coeff:
+    """Invariance under every adjacent transposition of the variables.
+
+    Each term is checked against its image under each swap of two unequal
+    neighbouring exponents; stored coefficients are never zero, so a missing
+    image means the polynomial is not symmetric.
+    """
+    terms = P.terms
+    for exps, coeff in terms.items():
+        for i in range(len(exps) - 1):
+            a, b = exps[i], exps[i + 1]
+            if a != b and terms.get(exps[:i] + (b, a) + exps[i + 2:]) != coeff:
                 return False
     return True

@@ -9,7 +9,7 @@ from itertools import combinations
 from math import lcm
 
 from cycindex import Cyclotomic, MonomialPoly, Permutation, cyclotomic_polynomial
-from cycindex.caps import DEFAULT_CAPS
+from cycindex.caps import CapExceeded, DEFAULT_CAPS
 
 
 def apply_perm(sigma, point):
@@ -56,6 +56,21 @@ def euler_phi(m):
     return len(cyclotomic_polynomial(m)) - 1
 
 
+def coefficient(P, exps):
+    """The coefficient of P at an exponent vector; zero when no term of P can
+    have that vector (wrong length, or not isobaric of P's weight)."""
+    try:
+        key = P._key(exps)
+    except ValueError:
+        return Cyclotomic.zero()
+    return P.terms.get(key, Cyclotomic.zero())
+
+
+def psum_sub(a, b):
+    """Difference of two power-sum polynomials of the same weight."""
+    return a.add(b.scale(-1))
+
+
 def evaluate_all_ones(P):
     total = Cyclotomic.zero()
     for coeff in P.terms.values():
@@ -84,10 +99,22 @@ def reconstruct_wreath_element(sigma, taus, r, d):
     return Permutation(tuple(images))
 
 
+def monomial_mul(a, b, caps=DEFAULT_CAPS):
+    """Product of two MonomialPolys in the same variables, under the term cap."""
+    if len(a.terms) * len(b.terms) > caps.specialize_terms:
+        raise CapExceeded("monomial product exceeds the term cap")
+    out = {}
+    for ea, ca in a.terms.items():
+        for eb, cb in b.terms.items():
+            key = tuple(x + y for x, y in zip(ea, eb))
+            out[key] = out[key] + ca * cb if key in out else ca * cb
+    return MonomialPoly(a.nvars, out)
+
+
 def specialize_by_substitution(Z, n, caps=DEFAULT_CAPS):
     """g_n by polynomial substitution: each term's product of the MonomialPolys
-    p_s = x_0^s + ... + x_n^s, formed with ``MonomialPoly.mul`` (and its term
-    cap) from scratch, scaled by the coefficient and added in ``sorted_terms``
+    p_s = x_0^s + ... + x_n^s, formed with ``monomial_mul`` (and its term cap)
+    from scratch, scaled by the coefficient and added in ``sorted_terms``
     order."""
     if n < 0:
         raise ValueError("n must be nonnegative")
@@ -97,11 +124,11 @@ def specialize_by_substitution(Z, n, caps=DEFAULT_CAPS):
         return MonomialPoly(nvars, {tuple(s if j == i else 0 for j in range(nvars)):
                                     Cyclotomic.one() for i in range(nvars)})
 
-    result = MonomialPoly.zero(nvars)
+    result = MonomialPoly(nvars, {})
     for exps, coeff in Z.sorted_terms():
         prod = MonomialPoly(nvars, {(0,) * nvars: Cyclotomic.one()})
         for s, c in enumerate(exps, start=1):
             for _ in range(c):
-                prod = prod.mul(power_sum(s), caps)
+                prod = monomial_mul(prod, power_sum(s), caps)
         result = result.add(prod.scale(coeff))
     return result

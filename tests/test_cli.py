@@ -334,6 +334,12 @@ class TestFailClosed:
         assert done.stdout.startswith("cap exceeded: degree 99999999999 exceeds work cap")
         assert done.stdout.count("\n") == 1 and "out of memory" not in done.stdout
 
+    def test_symmetry_check_of_a_long_specialization_finishes(self, run_cli):
+        # g_n of the trivial group has 2001 variables; checking its symmetry
+        # must stay linear in its terms, not cubic in the number of variables
+        done = run_cli(["verify", "--group", "C(1)", "--n", "2000"], timeout=20)
+        assert done.returncode == EXIT_OK
+
     @pytest.mark.parametrize("exc,code,start", [
         (AssertionError("orbit sizes do not\npartition"), EXIT_MISMATCH,
          "internal error: AssertionError: orbit sizes do not partition"),

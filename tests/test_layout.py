@@ -1,11 +1,12 @@
-"""Every function, method and property of the package has a caller in the package.
+"""Every function, method, property and alias of the package has a caller in the package.
 
-Each module of ``src/cycindex`` is parsed with ``ast``.  A definition counts
-as called when its name is loaded, as a bare name or as an attribute,
-somewhere in ``src/cycindex`` outside ``__init__.py``.  The check is by name
-only: a definition whose name collides with another loaded name (``value``,
-``order``, ``entry``) passes even when nothing calls it.  Helpers that only
-the tests need belong in ``tests/oracles.py``.
+Each module of ``src/cycindex`` is parsed with ``ast``.  A definition is a
+function, a method, a property, or a module-level alias ``name = Class.attr``.
+It counts as called when its name is loaded, as a bare name or as an
+attribute, somewhere in ``src/cycindex`` outside ``__init__.py``.  The check
+is by name only: a definition whose name collides with another loaded name
+(``value``, ``order``, ``entry``) passes even when nothing calls it.  Helpers
+that only the tests need belong in ``tests/oracles.py``.
 """
 
 import ast
@@ -26,10 +27,20 @@ def _is_dunder(name):
     return name.startswith("__") and name.endswith("__")
 
 
+def _is_alias(node):
+    """A module-level ``name = Class.attr`` assignment."""
+    return (isinstance(node, ast.Assign) and len(node.targets) == 1
+            and isinstance(node.targets[0], ast.Name)
+            and isinstance(node.value, ast.Attribute)
+            and isinstance(node.value.value, ast.Name))
+
+
 def test_every_definition_is_loaded_by_name_in_the_package():
     defined, loaded = set(), set()
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
+        defined.update((path.name, node.targets[0].id)
+                       for node in tree.body if _is_alias(node))
         for node in ast.walk(tree):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 if not _is_dunder(node.name):

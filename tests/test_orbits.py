@@ -251,8 +251,8 @@ class TestReorderedGroup:
         assert reordered
 
 
+@pytest.mark.parametrize("kind,d", [("symmetric", 4), ("dihedral", 5), ("alternating", 5)])
 class TestActionTable:
-    @pytest.mark.parametrize("kind,d", [("symmetric", 4), ("dihedral", 5), ("alternating", 5)])
     def test_rows_are_the_coordinate_action_on_a_reordered_group(self, kind, d):
         W = named_group(kind, d)
         G = PermGroup.from_elements(reversed(W.images))
@@ -262,6 +262,16 @@ class TestActionTable:
         assert len(rows) == G.order
         for row, g in zip(rows, G):
             assert tuple([point[i] for i in row]) == apply_perm(g, point)
+
+    @pytest.mark.parametrize("reordered", [False, True])
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_recorded_stabilizer_is_every_fixing_element(self, kind, d, n, reordered):
+        W = named_group(kind, d)
+        if reordered:
+            W = PermGroup.from_elements(reversed(W.images))
+        for rec in enumerate_orbits(W, n).records:
+            assert rec.stabilizer == tuple(k for k, g in enumerate(W)
+                                           if apply_perm(g, rec.rep) == rec.rep)
 
 
 class TestExports:

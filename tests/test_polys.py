@@ -6,13 +6,13 @@ from hypothesis import given, settings, strategies as st
 
 from cycindex import (Cyclotomic, LinearCharacter, MonomialPoly, PowerSumPoly,
                       cycle_index, enumerate_linear_characters, is_symmetric,
-                      named_group, plethysm_insert, psum_mul, psum_sub,
+                      named_group, plethysm_insert, psum_mul,
                       sign_character, specialize, unit_character, wreath_embed,
                       wreath_character)
 from cycindex.caps import CapExceeded, Caps
 from cycindex.cli import JobSpec, run
-from oracles import (cycle_type_from_cycles, elementary_symmetric,
-                     specialize_by_substitution)
+from oracles import (coefficient, cycle_type_from_cycles, elementary_symmetric,
+                     psum_sub, specialize_by_substitution)
 
 
 def sympy_poly(mono: MonomialPoly):
@@ -89,7 +89,7 @@ class TestSpecialize:
             for chi in enumerate_linear_characters(G):
                 got = specialize(cycle_index(G, chi), 0)
                 if chi.is_unit():
-                    assert got.coefficient((d,)) == 1 and len(got.terms) == 1
+                    assert coefficient(got, (d,)) == 1 and len(got.terms) == 1
                 else:
                     assert got.is_zero()
 
@@ -274,16 +274,16 @@ class TestMonomialHelpers:
         assert is_symmetric(elementary_symmetric(2, 2))
         skew = MonomialPoly(2, {(2, 1): Cyclotomic.one()})
         assert not is_symmetric(skew)
-        assert is_symmetric(MonomialPoly.zero(3))
+        assert is_symmetric(MonomialPoly(3, {}))
 
     def test_equality_and_coefficient_edge_cases(self, S3):
         # power-sum equality ignores the weight; monomial equality checks nvars
         assert PowerSumPoly.zero(2) == PowerSumPoly.zero(3)
-        assert MonomialPoly.zero(2) != MonomialPoly.zero(3)
+        assert MonomialPoly(2, {}) != MonomialPoly(3, {})
         Z = cycle_index(S3, unit_character(S3))
-        assert Z.coefficient((3, 0, 0)) == Cyclotomic.from_rational(Fraction(1, 6))
-        assert Z.coefficient((1,)) == 0  # not isobaric of weight 3
-        assert elementary_symmetric(1, 1).coefficient((1,)) == 0  # wrong length
+        assert coefficient(Z, (3, 0, 0)) == Cyclotomic.from_rational(Fraction(1, 6))
+        assert coefficient(Z, (1,)) == 0  # not isobaric of weight 3
+        assert coefficient(elementary_symmetric(1, 1), (1,)) == 0  # wrong length
         with pytest.raises(ValueError):
             PowerSumPoly(3, {(1,): Cyclotomic.one()})
         with pytest.raises(ValueError):
