@@ -1,11 +1,11 @@
 """Exact verification of the averaging projector on monomial modules.
 
-The module basis is indexed by the points of [0,n]^d; the group acts by
-permuting points, twisted by an optional cocycle family gamma.  The character
-alpha and gamma are carried as exponents of roots of unity, so every entry of
-|G| a_alpha is a sum of powers of zeta_m, m = lcm(order of alpha, order of
-gamma): counting the powers gives an element of the group ring
-Z[C_m] = Z[x]/(x^m - 1), which maps onto Z[zeta_m] by x -> zeta_m.
+The basis v_i is indexed by the codes i = sum_k p_k (n+1)^(d-1-k) of the points
+p of [0,n]^d; point maps are computed on codes.  The group permutes points,
+twisted by an optional cocycle family gamma, and alpha and gamma are exponents
+of roots of unity, so every entry of |G| a_alpha is a sum of powers of zeta_m,
+m = lcm(order of alpha, order of gamma): counting the powers gives an element
+of the group ring Z[C_m] = Z[x]/(x^m - 1), which maps onto Z[zeta_m] by x -> zeta_m.
 
 A column is supported on the orbit of its index and packs into one int
 (Kronecker substitution): the count of x^k in orbit-local row t sits at bit
@@ -25,13 +25,11 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, fields
-from itertools import product as iter_product
 from math import lcm
 
 from .caps import Caps, CapExceeded, DEFAULT_CAPS
 from .characters import LinearCharacter, enumerate_linear_characters
 from .cyclo import Cyclotomic, CyclotomicIntegers
-from .orbits import action_table
 from .perms import PermGroup, Permutation, compose, inverse
 
 Column = dict[int, object]  # row -> nonzero element of a CyclotomicIntegers ring
@@ -60,14 +58,16 @@ class MonomialModule:
         if gamma is not None and work * group.order > caps.orbit_work:
             raise CapExceeded(f"(n+1)^d * |G|^2 = {work * group.order} exceeds work cap "
                               f"{caps.orbit_work}")
-        self.points = list(iter_product(range(n + 1), repeat=self.d))
-        self._point_index = {p: i for i, p in enumerate(self.points)}
-        self.gamma = gamma
-        self.gamma_order = gamma_order
-        # point_map[g][i] = index of g . point_i
-        index = self._point_index
-        self.point_map = [[index[tuple(map(p.__getitem__, src))] for p in self.points]
-                          for src in action_table(group)]
+        self.gamma, self.gamma_order = gamma, gamma_order
+        # point_map[g][i] = index of g . point_i: g moves coordinate k to position g(k)
+        self.weights = [(n + 1) ** (self.d - 1 - k) for k in range(self.d)]
+        steps = [[v * w for v in range(n + 1)] for w in self.weights]
+        self.point_map = []
+        for g in group.images:
+            row = [0]
+            for t in g:
+                row = [r + s for r in row for s in steps[t - 1]]
+            self.point_map.append(row)
         # gamma_exp[g][i] = exponent of gamma_i(g)
         if gamma is None:
             self.gamma_exp = [(0,) * self.dim] * group.order
@@ -77,8 +77,12 @@ class MonomialModule:
             self.validate_cocycle()
         self.validate_representation()
 
+    @property
+    def points(self) -> list[tuple[int, ...]]:  # decoded from their codes, in index order
+        return [tuple(i // w % (self.n + 1) for w in self.weights) for i in range(self.dim)]
+
     def index(self, point) -> int:
-        return self._point_index[tuple(point)]
+        return sum(p * w for p, w in zip(point, self.weights))
 
     def _check_law(self, a: int, b: int, ab: int) -> bool:
         """g_a g_b = g_ab on every point, with gamma_i(g_a g_b) = gamma_{g_b.i}(g_a) gamma_i(g_b)."""
@@ -139,14 +143,12 @@ class MonomialModule:
         rep_of: dict[int, int] = {}
         via: dict[int, int] = {}  # point -> group element index with g . rep = point
         for i in range(self.dim):
-            if i in rep_of:
-                continue
-            reps.append(i)
-            for gi in range(self.group.order):
-                j = self.point_map[gi][i]
-                if j not in rep_of:
-                    rep_of[j] = i
-                    via[j] = gi
+            if i not in rep_of:
+                reps.append(i)
+                for gi, pm in enumerate(self.point_map):
+                    j = pm[i]
+                    if j not in rep_of:
+                        rep_of[j], via[j] = i, gi
         return reps, rep_of, via
 
 
@@ -404,12 +406,10 @@ def verify_basis_prop(M: MonomialModule, alpha: LinearCharacter) -> BasisReport:
 
     ok = (idempotent and annihilation_ok and independent and kernel_ok
           and rank == len(J) and trace == len(J))
-    return BasisReport(
-        group_order=M.group.order, n=M.n, d=M.d, dim=M.dim,
-        trace=trace, rank=rank, J_size=len(J),
-        idempotent=idempotent, annihilation_ok=annihilation_ok,
-        independent=independent, kernel_ok=kernel_ok, ok=ok,
-    )
+    return BasisReport(group_order=M.group.order, n=M.n, d=M.d, dim=M.dim,
+                       trace=trace, rank=rank, J_size=len(J), idempotent=idempotent,
+                       annihilation_ok=annihilation_ok, independent=independent,
+                       kernel_ok=kernel_ok, ok=ok)
 
 
 def random_gamma_family(W: PermGroup, n: int, seed: int,

@@ -5,6 +5,7 @@ The package itself works on image tuples; these helpers work on
 them.
 """
 
+from fractions import Fraction
 from itertools import combinations
 from math import lcm
 
@@ -132,3 +133,52 @@ def specialize_by_substitution(Z, n, caps=DEFAULT_CAPS):
                 prod = monomial_mul(prod, power_sum(s), caps)
         result = result.add(prod.scale(coeff))
     return result
+
+
+def multiplication_matrix(a, m):
+    """The phi(m) x phi(m) integer matrix of multiplication by a in Z[zeta_m].
+
+    ``a`` is an element of ``CyclotomicIntegers(m)`` (a tuple in the power
+    basis, or an int when phi(m) = 1).  Column c holds a zeta_m^c, formed from
+    column c - 1 by shifting up one power and reducing zeta_m^phi(m) with the
+    monic ``cyclotomic_polynomial(m)``.
+    """
+    phi = cyclotomic_polynomial(m)
+    column = [a] if isinstance(a, int) else list(a)
+    columns = [column]
+    for _ in range(len(phi) - 2):
+        top = column[-1]
+        column = [c - top * p for c, p in zip([0] + column[:-1], phi)]
+        columns.append(column)
+    return [list(row) for row in zip(*columns)]
+
+
+def rank_over_cyclotomic_field(columns, m):
+    """Exact rank over Q(zeta_m) of sparse columns {row: element of Z[zeta_m]}.
+
+    Each entry becomes its ``multiplication_matrix``, so the columns become a
+    rational matrix of phi(m) times the size, of rank phi(m) times the rank
+    over Q(zeta_m); that matrix is row reduced with ``Fraction``s.
+    """
+    deg = euler_phi(m)
+    where = {r: t for t, r in enumerate(sorted({r for col in columns for r in col}))}
+    matrix = [[Fraction(0)] * (deg * len(columns)) for _ in range(deg * len(where))]
+    for j, col in enumerate(columns):
+        for r, a in col.items():
+            for s, row in enumerate(multiplication_matrix(a, m)):
+                matrix[where[r] * deg + s][j * deg:(j + 1) * deg] = map(Fraction, row)
+    rank = 0
+    for c in range(deg * len(columns)):
+        pivot = next((i for i in range(rank, len(matrix)) if matrix[i][c]), None)
+        if pivot is None:
+            continue
+        matrix[rank], matrix[pivot] = matrix[pivot], matrix[rank]
+        lead = matrix[rank]
+        for i in range(rank + 1, len(matrix)):
+            if matrix[i][c]:
+                f = matrix[i][c] / lead[c]
+                matrix[i] = [x - f * y for x, y in zip(matrix[i], lead)]
+        rank += 1
+    if rank % deg:
+        raise AssertionError("the rational rank is not a multiple of phi(m)")
+    return rank // deg

@@ -1,18 +1,22 @@
 from fractions import Fraction
+from itertools import product as iter_product
 from math import comb
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from cycindex import (Cyclotomic, MonomialModule, build_projector,
+from cycindex import (Cyclotomic, MonomialModule, PermGroup, build_projector,
                       check_annihilation, enumerate_linear_characters,
                       index_set_J, named_group, random_gamma_family,
                       sign_character, unit_character, verify_basis_prop)
 from cycindex.caps import CapExceeded, Caps
 from cycindex.cli import _tampered
 from cycindex.cyclo import CyclotomicIntegers
+from cycindex.grammar import parse_group
 from cycindex.projector import (SparseMatrix, _Packing, check_idempotent,
                                 rank_of_columns)
-from oracles import apply_perm, value
+from oracles import (apply_perm, multiplication_matrix, rank_over_cyclotomic_field,
+                     value)
 
 
 def entrywise_product(A, B):
@@ -83,6 +87,36 @@ class TestProjectorMatrix:
         with pytest.raises(CapExceeded, match=r"\|G\|\^2 = 288 exceeds work cap 287"):
             MonomialModule(S3, 1, gamma, order, caps=Caps(orbit_work=287))
         assert MonomialModule(S3, 1, gamma, order, caps=Caps(orbit_work=288)).dim == 8
+
+
+class TestPointMap:
+    """point_map rows and index, built on point codes, against apply_perm on point tuples."""
+
+    EXPRESSIONS = ("S(4)", "D(5)", "A(5)", "wreath(S(2),S(3))")
+
+    @staticmethod
+    def _check(G, n):
+        M = MonomialModule(G, n)
+        points = list(iter_product(range(n + 1), repeat=G.degree))
+        lex = {p: i for i, p in enumerate(points)}
+        assert M.points == points and len(M.point_map) == G.order
+        for g, row in zip(G, M.point_map):
+            images = [apply_perm(g, p) for p in points]
+            assert row == [lex[q] for q in images], g
+            assert [M.index(q) for q in images] == row, g
+
+    @pytest.mark.parametrize("reordered", [False, True])
+    @pytest.mark.parametrize("n", [0, 1, 2])
+    @pytest.mark.parametrize("expr", EXPRESSIONS)
+    def test_rows_match_the_point_action(self, expr, n, reordered):
+        G = parse_group(expr).group
+        if reordered:
+            G = PermGroup.from_elements(reversed(G.images))
+        self._check(G, n)
+
+    @pytest.mark.parametrize("expr, n", [("C(1)", 0), ("gen[3]{}", 0), ("gen[3]{}", 2)])
+    def test_trivial_groups(self, expr, n):
+        self._check(parse_group(expr).group, n)
 
 
 class TestDefinitionOracle:
@@ -291,6 +325,43 @@ class TestRank:
         cols = [{0: R.one, 1: z}, {0: R.mul(z, z), 1: R.one}]
         # second column = zeta^2 * first, since zeta^3 = 1
         assert rank_of_columns(cols, R) == 1
+        assert rank_over_cyclotomic_field(cols, 3) == 1
+
+    def test_field_oracle_small_cases(self):
+        R = CyclotomicIntegers(5)
+        z = R.root(1)
+        assert rank_over_cyclotomic_field([], 5) == 0
+        assert rank_over_cyclotomic_field([{0: R.one}, {1: z}], 5) == 2
+        # 1 + zeta_4 and 1 - zeta_4 differ by the unit zeta_4: (1 - i) i = 1 + i
+        assert rank_over_cyclotomic_field([{0: (1, 1)}, {0: (1, -1)}], 4) == 1
+        assert multiplication_matrix(z, 5) == [[0, 0, 0, -1], [1, 0, 0, -1],
+                                               [0, 1, 0, -1], [0, 0, 1, -1]]
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_rank_matches_the_field_oracle(self, data):
+        """Random columns plus columns that depend on them through root-of-unity
+        multiples and sums, in a random order, at most 6 x 6."""
+        m = data.draw(st.sampled_from([1, 2, 3, 4, 5, 12]), label="m")
+        R = CyclotomicIntegers(m)
+        rows = data.draw(st.integers(1, 6), label="rows")
+        width = data.draw(st.integers(0, 6), label="columns")
+        free = data.draw(st.integers(0, width), label="free columns")
+        entry = st.lists(st.integers(-2, 2), min_size=R.degree, max_size=R.degree).map(
+            lambda cs: cs[0] if R.degree == 1 else tuple(cs))
+        cols = [{r: v for r in range(rows) if R.nonzero(v := data.draw(entry))}
+                for _ in range(free)]
+        for _ in range(width - free):
+            picks = data.draw(st.lists(st.tuples(st.integers(0, max(len(cols) - 1, 0)),
+                                                 st.integers(0, m - 1)),
+                                       min_size=1, max_size=3))
+            total = {}  # the zero column while there is nothing to combine
+            for j, k in (picks if cols else []):
+                for r, v in cols[j].items():
+                    total[r] = R.add(total.get(r, R.zero), R.mul(R.root(k), v))
+            cols.append({r: v for r, v in total.items() if R.nonzero(v)})
+        cols = data.draw(st.permutations(cols), label="order")
+        assert rank_of_columns(cols, R) == rank_over_cyclotomic_field(cols, m)
 
 
 class TestRandomGamma:
