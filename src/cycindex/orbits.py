@@ -6,22 +6,26 @@ scanned in lexicographic order and orbits flood-filled, so the first point of
 each orbit is automatically its lexicographically minimal representative.
 Every point action in this module is a row of ``action_table``: each element
 of W acts on a point by one row of source indices, the inverse of its image
-tuple, in the group's own element order.  A row is applied to a point p with
-one expression, ``tuple([p[i] for i in row])``.  ``enumerate_orbits`` applies
-every row to each representative once; that one scan counts the orbit, checks
-orbit-stabilizer and keeps the indices of the rows that fix the
-representative as ``OrbitRecord.stabilizer``.  The chi-orbit flag reads the
-character's exponents at those indices, and the H-orbit census reads W_i and
-H_i from them, so neither computes a stabilizer of its own.
+tuple, in the group's own element order.  A row is applied to a point p by
+its ``operator.itemgetter``, or by ``tuple`` for a group of degree <= 1, which
+is trivial.  ``enumerate_orbits`` applies every row to each representative
+once, and counts those #orbits * |W| row applications against the work cap;
+that one scan counts the orbit, checks orbit-stabilizer and keeps the indices
+of the rows that fix the representative as ``OrbitRecord.stabilizer``.  The
+chi-orbit flag reads the character's exponents at those indices, and the
+H-orbit census reads W_i and H_i from them, so neither computes a stabilizer
+of its own.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from itertools import product
+from operator import itemgetter
 
 from .caps import Caps, CapExceeded, DEFAULT_CAPS
-from .characters import LinearCharacter
+from .characters import LinearCharacter, kernel
 from .cyclo import Cyclotomic
 from .perms import PermGroup, inverse
 from .polys import MonomialPoly
@@ -33,6 +37,11 @@ def action_table(W: PermGroup) -> list[tuple[int, ...]]:
     """For each group element g, the 0-based source position for each target
     position: the image tuple of g^-1, less one."""
     return [tuple([s - 1 for s in inverse(g)]) for g in W.images]
+
+
+def _row_getters(W: PermGroup) -> list:
+    """Each row of ``action_table(W)`` as a callable from a point to its image."""
+    return [itemgetter(*row) if len(row) > 1 else tuple for row in action_table(W)]
 
 
 @dataclass(frozen=True)
@@ -63,18 +72,20 @@ class OrbitTable:
 def enumerate_orbits(W: PermGroup, n: int, caps: Caps = DEFAULT_CAPS) -> OrbitTable:
     d = W.degree
     npoints = (n + 1) ** d
-    if npoints * W.order > caps.orbit_work:
-        raise CapExceeded(
-            f"(n+1)^d * |W| = {npoints * W.order} exceeds work cap {caps.orbit_work}")
-    table = action_table(W)
+    if npoints > caps.orbit_work:
+        raise CapExceeded(f"(n+1)^d = {npoints} exceeds work cap {caps.orbit_work}")
+    getters = _row_getters(W)
     radix = n + 1
     visited = bytearray(npoints)
     records = []
-    point = [0] * d
-    for code in range(npoints):
+    work = 0
+    for code, p in enumerate(product(range(radix), repeat=d)):
         if not visited[code]:
-            p = tuple(point)
-            images = [tuple([p[i] for i in row]) for row in table]
+            work += W.order
+            if work > caps.orbit_work:
+                raise CapExceeded(
+                    f"row applications #orbits * |W| exceed work cap {caps.orbit_work}")
+            images = [g(p) for g in getters]
             stab = tuple([k for k, q in enumerate(images) if q == p])
             orbit = set(images)
             for q in orbit:
@@ -86,12 +97,6 @@ def enumerate_orbits(W: PermGroup, n: int, caps: Caps = DEFAULT_CAPS) -> OrbitTa
             if size * len(stab) != W.order:
                 raise AssertionError("orbit-stabilizer identity violated")
             records.append(OrbitRecord(rep=p, size=size, stabilizer=stab))
-        # advance the mixed-radix counter in lex order
-        for i in range(d - 1, -1, -1):
-            point[i] += 1
-            if point[i] < radix:
-                break
-            point[i] = 0
     total = sum(r.size for r in records)
     if total != npoints:
         raise AssertionError("orbit sizes do not partition the hypercube")
@@ -108,9 +113,11 @@ def chi_orbit_filter(table: OrbitTable, chi: LinearCharacter) -> OrbitTable:
     if chi.group != table.group:
         raise ValueError("character is defined on a different group")
     exponents = chi.exponents_in(table.group)
-    return replace(table, records=tuple(
-        replace(rec, is_chi_orbit=not any([exponents[k] for k in rec.stabilizer]))
-        for rec in table.records))
+    return OrbitTable(table.group, table.n, tuple([
+        OrbitRecord(rec.rep, rec.size, rec.stabilizer,
+                    not any([exponents[k] for k in rec.stabilizer]),
+                    rec.tau_H, rec.h_orbit_length)
+        for rec in table.records]))
 
 
 def index_set_J(W: PermGroup, chi: LinearCharacter, n: int,
@@ -145,17 +152,17 @@ def h_orbit_census(table: OrbitTable, H: PermGroup) -> OrbitTable:
     if not H.is_subgroup_of(W):
         raise ValueError("H is not a subgroup of W")
     index_WH = W.order // H.order
-    rows = action_table(W)
+    rows = _row_getters(W)
     in_H = [g in H.image_index for g in W.images]
-    h_rows = [row for row, inside in zip(rows, in_H) if inside]
+    h_rows = [g for g, inside in zip(rows, in_H) if inside]
     records = []
     for rec in table.records:
         rep = rec.rep
-        remaining = {tuple([rep[i] for i in row]) for row in rows}
+        remaining = {g(rep) for g in rows}
         lengths = []
         while remaining:
             seed = min(remaining)
-            h_orbit = {tuple([seed[i] for i in row]) for row in h_rows}
+            h_orbit = {g(seed) for g in h_rows}
             lengths.append(len(h_orbit))
             remaining -= h_orbit
         if len(set(lengths)) != 1:
@@ -169,15 +176,14 @@ def h_orbit_census(table: OrbitTable, H: PermGroup) -> OrbitTable:
         rhs = rec.size * (rec.stabilizer_order // h_stab_order)
         if lhs != rhs:
             raise AssertionError(f"index identity fails at {rec.rep}")
-        records.append(replace(rec, tau_H=tau, h_orbit_length=h_len))
-    return replace(table, records=tuple(records))
+        records.append(OrbitRecord(rec.rep, rec.size, rec.stabilizer,
+                                   rec.is_chi_orbit, tau, h_len))
+    return OrbitTable(W, table.n, tuple(records))
 
 
 def full_census(W: PermGroup, chi: LinearCharacter, n: int,
                 caps: Caps = DEFAULT_CAPS) -> OrbitTable:
     """Orbit table annotated with both the chi-orbit flag and the kernel census."""
-    from .characters import kernel
-
     table = chi_orbit_filter(enumerate_orbits(W, n, caps=caps), chi)
     return h_orbit_census(table, kernel(chi))
 

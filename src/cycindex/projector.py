@@ -82,6 +82,8 @@ class MonomialModule:
         return [tuple(i // w % (self.n + 1) for w in self.weights) for i in range(self.dim)]
 
     def index(self, point) -> int:
+        if len(point) != self.d or not all(0 <= p <= self.n for p in point):
+            raise ValueError(f"{point!r} is not a point of [0,{self.n}]^{self.d}")
         return sum(p * w for p, w in zip(point, self.weights))
 
     def _check_law(self, a: int, b: int, ab: int) -> bool:

@@ -340,6 +340,12 @@ class TestFailClosed:
         done = run_cli(["verify", "--group", "C(1)", "--n", "2000"], timeout=20)
         assert done.returncode == EXIT_OK
 
+    def test_wreath_sign_verify_passes_at_the_default_work_cap(self, run_cli):
+        # 4096 points but 35 orbits: 35 * 31104 row applications, far under 10^8
+        done = run_cli(["verify", "--group", "wreath(S(3),S(4))", "--char", "sign",
+                        "--n", "1"], timeout=60)
+        assert (done.returncode, done.stdout) == (EXIT_OK, "0\n")
+
     @pytest.mark.parametrize("exc,code,start", [
         (AssertionError("orbit sizes do not\npartition"), EXIT_MISMATCH,
          "internal error: AssertionError: orbit sizes do not partition"),
@@ -380,6 +386,23 @@ class TestFailClosed:
         code = main(["verify-basis", "--group", "S(3)", "--n", "1", "--cap", "20"])
         assert (code, capsys.readouterr().out) == (
             EXIT_CAP, "cap exceeded: (n+1)^d * |G| = 48 exceeds work cap 20\n")
+
+    @pytest.mark.parametrize("cap,code,out", [
+        (1000, EXIT_OK, None),
+        (300, EXIT_CAP, "cap exceeded: row applications #orbits * |W| exceed work cap 300\n"),
+        # the element table of S(4), 24 * 4 = 96 entries, hits the cap before the 81 points
+        (80, EXIT_CAP, "cap exceeded: group elements times degree exceed work cap 80\n"),
+    ])
+    def test_work_cap_bounds_the_orbit_scan(self, capsys, cap, code, out):
+        # S(4) at n=2: 81 points and 15 orbits, 15 * 24 = 360 row applications
+        got = main(["orbits", "--group", "S(4)", "--char", "sign", "--n", "2",
+                    "--cap", str(cap)])
+        text = capsys.readouterr().out
+        assert got == code
+        if out is None:
+            assert len(text.splitlines()) == 1 + 15
+        else:
+            assert text == out
 
     def test_default_catalog_over_the_work_cap_is_a_cap_hit(self, capsys):
         code = main(["suite", "--cap", "10"])

@@ -68,6 +68,22 @@ class TestEnumerateOrbits:
         with pytest.raises(CapExceeded):
             enumerate_orbits(S4, 2, caps=Caps(orbit_work=10))
 
+    # S(4) at n=2: 81 points, 15 orbits, so 15 * 24 = 360 row applications;
+    # the estimate (n+1)^d * |W| = 1944 would refuse a cap of 1000
+    @pytest.mark.parametrize("cap", [1000, 360])
+    def test_work_cap_counts_row_applications_done(self, S4, cap):
+        assert len(enumerate_orbits(S4, 2, caps=Caps(orbit_work=cap)).records) == 15
+
+    @pytest.mark.parametrize("cap", [359, 300])
+    def test_work_cap_stops_row_applications(self, S4, cap):
+        with pytest.raises(CapExceeded, match=f"^row applications #orbits \\* \\|W\\| "
+                                              f"exceed work cap {cap}$"):
+            enumerate_orbits(S4, 2, caps=Caps(orbit_work=cap))
+
+    def test_work_cap_bounds_the_points(self, S4):
+        with pytest.raises(CapExceeded, match=r"^\(n\+1\)\^d = 81 exceeds work cap 80$"):
+            enumerate_orbits(S4, 2, caps=Caps(orbit_work=80))
+
 
 class TestChiOrbits:
     def test_c4_faithful_character(self, C4):
@@ -147,6 +163,24 @@ def census_by_apply_perm(table, chi, H):
     return records
 
 
+class TestDegreeOne:
+    """C(1) acts on [0,n]^1 through the ``tuple`` row, which returns the point itself."""
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 3])
+    def test_records_and_census_match_apply_perm(self, n):
+        W = named_group("cyclic", 1)
+        assert W.degree == 1 and W.order == 1
+        table = enumerate_orbits(W, n)
+        assert [(r.rep, r.size, r.stabilizer) for r in table.records] == \
+            [((j,), 1, tuple(k for k, g in enumerate(W) if apply_perm(g, (j,)) == (j,)))
+             for j in range(n + 1)]
+        chi = unit_character(W)
+        got = [(r.rep, r.tau_H, r.h_orbit_length, r.stabilizer_order, r.is_chi_orbit)
+               for r in full_census(W, chi, n).records]
+        assert got == [(rep, tau, h_len, stab, flag) for rep, tau, h_len, _, stab, flag
+                       in census_by_apply_perm(table, chi, kernel(chi))]
+
+
 class TestCensus:
     @pytest.mark.parametrize("expr,sel", [
         ("S(3)", "sign"), ("A(4)", "unit"), ("C(4)", "index:1"),
@@ -191,6 +225,20 @@ class TestCensus:
                 for rec in table.records:
                     assert index % rec.tau_H == 0
                     assert (rec.tau_H == index) == rec.is_chi_orbit
+
+    @pytest.mark.parametrize("kind,d", [("symmetric", 4), ("dihedral", 5)])
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_reordered_group_matches_apply_perm_census(self, kind, d, n):
+        W = named_group(kind, d)
+        G = PermGroup.from_elements(reversed(W.images))
+        assert G == W and G.images != W.images
+        table = enumerate_orbits(G, n)
+        for chi in enumerate_linear_characters(G):
+            H = kernel(chi)
+            got = [(r.rep, r.tau_H, r.h_orbit_length, r.stabilizer_order)
+                   for r in h_orbit_census(table, H).records]
+            assert got == [(rep, tau, h_len, stab) for rep, tau, h_len, _, stab, _
+                           in census_by_apply_perm(table, chi, H)]
 
     def test_rejects_non_subgroup(self, S3, C4):
         with pytest.raises(ValueError):

@@ -118,6 +118,14 @@ class TestPointMap:
     def test_trivial_groups(self, expr, n):
         self._check(parse_group(expr).group, n)
 
+    @pytest.mark.parametrize("point", [(0, 2), (1,), (0, 0, 0), (0, -1), ()])
+    def test_index_rejects_a_point_outside_the_cube(self, point):
+        # a bare weighted sum would read (0, 2) and (1,) as 2, the code of (1, 0)
+        M = MonomialModule(named_group("symmetric", 2), 1)
+        with pytest.raises(ValueError, match=r"is not a point of \[0,1\]\^2"):
+            M.index(point)
+        assert M.index((1, 0)) == 2
+
 
 class TestDefinitionOracle:
     """build_projector against (1/|G|) sum over g of alpha(g) gamma_i(g), in Cyclotomic."""
