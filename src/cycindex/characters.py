@@ -119,10 +119,12 @@ def sign_character(G: PermGroup) -> LinearCharacter:
 
 
 def abelianization_exponent(G: PermGroup, derived: PermGroup) -> int:
-    """Exponent of G/[G,G]: the lcm over g in G of the least t >= 1 with g^t in [G,G]."""
+    """Exponent of G/[G,G]: the lcm over the generators g of the least t >= 1 with g^t in
+    [G,G].  The quotient is abelian and generated by the generators' images, and the
+    exponent of such a group is the lcm of its generators' orders."""
     m = 1
-    for g in G.images:
-        power, t, times_g = g, 1, _right_mul(g)
+    for g in G.generators:
+        power, t, times_g = g.images, 1, _right_mul(g.images)
         while power not in derived.image_index:
             power = times_g(power)
             t += 1

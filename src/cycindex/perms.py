@@ -8,10 +8,10 @@ messages, and is what iterating over a ``PermGroup`` yields.
 Every group is closed by one capped breadth-first walk, ``_bfs_order``, which
 fixes the element order and records the right-multiplication table:
 ``right[k][i]`` is the index of ``images[i] * generators[k]``, one compact
-``array`` row per generator.  The walk, and the greedy closures built on it
-(``from_elements``, ``derived_subgroup``), run on raw image tuples.  Every
-``PermGroup`` holds its table from construction: a group given by an element
-list, such as a direct product, builds it in the constructor.
+``array`` row per generator.  The walk, and the one greedy closure on it
+(``from_elements``; ``derived_subgroup``, a normal closure), use image tuples.
+Every ``PermGroup`` holds its table from construction: a group given by an
+element list, such as a direct product, builds it in the constructor.
 Points are 1-based throughout.  ``compose(a, b)`` applies ``b`` first, so the
 induced coordinate action on tuples is a left action.
 """
@@ -233,15 +233,20 @@ class PermGroup:
             raise ValueError("element set is not a group") from None
 
 
-def _greedy_closure(candidates: Iterable[Images], degree: int, caps: Caps) -> PermGroup:
+def _greedy_closure(candidates: list[Images], degree: int, caps: Caps,
+                    conjugators: Sequence[Images] = ()) -> PermGroup:
     """The group generated by the candidates, each taken as a generator in turn when the
-    closure so far misses it; the BFS is re-walked once per generator."""
+    closure so far misses it; the BFS is re-walked once per generator.  A new generator
+    h also appends its conjugates c^-1 h c to the list walked, one per conjugator c,
+    so the result is normalized by the conjugators: it is the normal closure."""
     gens: list[Images] = []
     images, image_index, right = _bfs_order(gens, degree, caps)
-    for p in candidates:
+    conjugations = [(inverse(c), c) for c in conjugators]
+    for p in candidates:  # the list grows while it is walked
         if p not in image_index:
             gens.append(p)
             images, image_index, right = _bfs_order(gens, degree, caps)
+            candidates += [compose(c_inverse, compose(p, c)) for c_inverse, c in conjugations]
     return PermGroup(degree, images, gens, image_index, right)
 
 
@@ -408,23 +413,11 @@ def decompose_wreath_element(g: Permutation, r: int, d: int,
 
 
 def derived_subgroup(G: PermGroup, caps: Caps = DEFAULT_CAPS) -> PermGroup:
-    """Commutator subgroup [G,G], generated by x^-1 g^-1 x g for x in G and g a generator.
-
-    These generate a normal subgroup N (y^-1 [x,g] y = [xy,g] [y,g]^-1), and
-    modulo N every generator commutes with every element, so G/N is abelian
-    and N = [G,G].  A commutator becomes a generator only when the closure
-    so far misses it.  x g is read off the table; the inverses are dicts.
-    """
-    points = range(1, G.degree + 1)
-    gen_inverses = [dict(zip(g.images, points)).__getitem__ for g in G.generators]
-    products = [map(G.images.__getitem__, row) for row in G.right]
-
-    def commutators():
-        for x, *xgs in zip(G.images, *products):
-            x_inverse = dict(zip(x, points)).__getitem__
-            for g_inverse, xg in zip(gen_inverses, xgs):
-                # via a list, the tuple is allocated at its final size and reuses
-                # the freed commutators instead of piling them up on a free list
-                yield tuple(list(map(x_inverse, map(g_inverse, xg))))
-
-    return _greedy_closure(commutators(), G.degree, caps)
+    """Commutator subgroup [G,G], the normal closure of the commutators a^-1 b^-1 a b of
+    the pairs of generators.  That closure N lies in the normal subgroup [G,G], and the
+    generators commute modulo N, so G/N is abelian and N = [G,G].  It forms only these
+    #gens*(#gens-1)/2 commutators and their conjugates by the generators."""
+    gens = [g.images for g in G.generators]
+    commutators = [compose(compose(inverse(a), inverse(b)), compose(a, b))
+                   for i, a in enumerate(gens) for b in gens[i + 1:]]
+    return _greedy_closure(commutators, G.degree, caps, conjugators=gens)

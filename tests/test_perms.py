@@ -405,13 +405,16 @@ class TestDerivedSubgroup:
 
     @pytest.mark.parametrize("expr", [
         "S(5)", "A(5)", "D(6)", "wreath(S(3),S(2))", "product(S(3),D(4))",
+        "wreath(S(2),S(3))", "D(8)", "C(12)", "gen[6]{(1 2),(3 4),(5 6)}",
+        "gen[5]{(1 2),(2 3),(3 4),(4 5)}",
     ])
     def test_equals_closure_of_all_commutators(self, expr):
         G = parse_group(expr).group
         assert set(derived_subgroup(G).images) == self.commutator_oracle(G)
 
-    def test_derived_subgroup_is_normal(self, S4):
-        derived = derived_subgroup(S4)
-        dset = set(derived.images)
-        for g in S4.images:
+    @pytest.mark.parametrize("expr", ["S(4)", "S(5)", "wreath(S(3),S(2))", "product(S(3),D(4))"])
+    def test_derived_subgroup_is_normal(self, expr):
+        G = parse_group(expr).group
+        dset = set(derived_subgroup(G).images)
+        for g in G.images:
             assert {compose(compose(g, h), inverse(g)) for h in dset} == dset

@@ -1,0 +1,51 @@
+"""Check the character enumeration and the Polya-side identity on random groups.
+
+Random well-formed groups (named groups and ``gen[d]{...}`` of degree at most
+5, or one level of ``product``/``wreath`` over two of them) go through
+``cli.run``: ``characters`` first, then ``verify --n 1`` with ``unit``,
+``sign`` or ``index:k``, where k is taken modulo the character count that
+``characters`` printed.  Every job must exit 0, or 3 when a cap stops it; an
+exit of 1 is a failed identity or an internal error.  The caps keep each
+group at most 2,000 elements.
+"""
+
+import json
+
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from cycindex.caps import Caps
+from cycindex.cli import EXIT_CAP, EXIT_OK, JobSpec, run
+from cycindex.perms import Permutation
+
+CAPS = Caps(group_order=2_000, orbit_work=400_000, projector_dim=256, specialize_terms=100_000)
+
+named = st.one_of(
+    st.builds("{}({})".format, st.sampled_from("SAC"), st.integers(1, 5)),
+    st.builds("D({})".format, st.integers(3, 5)))
+
+
+def _generated(d: int):
+    """``gen[d]{...}`` with up to four random generators, each in disjoint cycle notation."""
+    cycles = st.permutations(range(1, d + 1)).map(
+        lambda images: Permutation(tuple(images)).cycle_string())
+    return st.lists(cycles, max_size=4).map(
+        lambda gens: f"gen[{d}]{{{','.join(g for g in gens if g != '()')}}}")
+
+
+leaves = named | st.integers(1, 5).flatmap(_generated)
+groups = leaves | st.builds("{}({},{})".format, st.sampled_from(["product", "wreath"]),
+                            leaves, leaves)
+selectors = st.sampled_from(["unit", "sign"]) | st.integers(0, 30)
+
+
+@settings(max_examples=120, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(groups, selectors)
+def test_no_well_formed_job_exits_one(group_expr, selector):
+    code, out = run(JobSpec("characters", group_expr, fmt="json", caps=CAPS))
+    assert code in (EXIT_OK, EXIT_CAP), out
+    if isinstance(selector, int):
+        # index:0 when capped: verify's enumeration then hits the same cap
+        count = len(json.loads(out)["characters"]) if code == EXIT_OK else 1
+        selector = f"index:{selector % count}"
+    code, out = run(JobSpec("verify", group_expr, selector, n=1, caps=CAPS))
+    assert code in (EXIT_OK, EXIT_CAP), out
