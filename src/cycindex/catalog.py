@@ -61,7 +61,10 @@ def default_catalog(caps: Caps = DEFAULT_CAPS) -> list[dict]:
 
 def load_catalog(path: str) -> list[dict]:
     with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
+        try:
+            data = json.load(fh)
+        except RecursionError:
+            raise ValueError("catalog is nested too deeply to read") from None
     if not isinstance(data, list) or not all(isinstance(j, dict) for j in data):
         raise ValueError("catalog must be a JSON array of job objects")
     return data

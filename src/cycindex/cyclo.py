@@ -1,10 +1,10 @@
 """Exact arithmetic in cyclotomic fields Q(zeta_m) and their integers Z[zeta_m].
 
-Values are kept in canonical form modulo the m-th cyclotomic polynomial, in the
-power basis 1, zeta, ..., zeta^(phi(m)-1).  Rational values are demoted to
-conductor 1, so the common all-rational case runs on plain Fractions.
-``CyclotomicIntegers`` holds elements of Z[zeta_m] at a fixed m as bare integer
-coefficients in the same basis, for loops that never need a denominator.
+Values are kept in the power basis 1, zeta, ..., zeta^(phi(m)-1).  Reduction
+modulo Phi_m lives only in ``CyclotomicIntegers``, in its table of the powers
+of zeta and its product; ``Cyclotomic`` is the field layer over one cached ring
+per conductor.  Rational values are demoted to conductor 1, so the common
+all-rational case runs on plain Fractions.
 """
 
 from __future__ import annotations
@@ -13,9 +13,6 @@ import operator
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
-from typing import Union
-
-Rational = Union[int, Fraction]
 
 
 @lru_cache(maxsize=None)
@@ -54,24 +51,13 @@ def _poly_divide_exact(num: list[int], den: tuple[int, ...]) -> list[int]:
     return quot
 
 
-def _reduce_mod_phi(coeffs: list[Fraction], m: int) -> list[Fraction]:
-    """Remainder of a polynomial in zeta_m modulo Phi_m (Phi_m is monic)."""
-    phi = cyclotomic_polynomial(m)
-    deg = len(phi) - 1
-    work = list(coeffs)
-    for i in range(len(work) - 1, deg - 1, -1):
-        c = work[i]
-        if c:
-            for j, pc in enumerate(phi):
-                if pc:
-                    work[i - deg + j] -= c * pc
-    work = work[:deg]
-    work += [Fraction(0)] * (deg - len(work))
-    return work
-
-
 class Cyclotomic:
-    """An exact element of Q(zeta_m)."""
+    """An exact element of Q(zeta_m), with Fraction coefficients.
+
+    A sum or a product lives at the lcm of its operands' conductors and is
+    demoted only to conductor 1, so equal values can print at different
+    conductors.  Lifts, products and roots of unity come from ``cyclotomic_ring``.
+    """
 
     __slots__ = ("conductor", "coeffs")
 
@@ -81,7 +67,7 @@ class Cyclotomic:
         self.coeffs = coeffs
 
     @staticmethod
-    def from_rational(q: Rational) -> "Cyclotomic":
+    def from_rational(q: int | Fraction) -> "Cyclotomic":
         return Cyclotomic(1, (Fraction(q),))
 
     @staticmethod
@@ -100,13 +86,10 @@ class Cyclotomic:
         k %= m
         g = gcd(k, m)
         m, k = m // g, k // g
-        if m == 1:
-            return Cyclotomic.one()
-        if m == 2:
-            return Cyclotomic.from_rational(-1)
-        raw = [Fraction(0)] * (k + 1)
-        raw[k] = Fraction(1)
-        return Cyclotomic._canonical(m, _reduce_mod_phi(raw, m))
+        power = cyclotomic_ring(m).powers[k]
+        if m <= 2:  # phi(m) = 1, so the power is the int 1 or -1
+            return Cyclotomic.from_rational(power)
+        return Cyclotomic(m, tuple(map(Fraction, power)))
 
     @staticmethod
     def _canonical(m: int, reduced: list[Fraction]) -> "Cyclotomic":
@@ -114,13 +97,11 @@ class Cyclotomic:
             return Cyclotomic(1, (reduced[0],))
         return Cyclotomic(m, tuple(reduced))
 
-    def _lift(self, M: int) -> list[Fraction]:
+    def _lift(self, M: int) -> tuple[Fraction, ...]:
         """Coefficients of this value written in Q(zeta_M), m | M."""
-        step = M // self.conductor
-        raw = [Fraction(0)] * ((len(self.coeffs) - 1) * step + 1)
-        for j, c in enumerate(self.coeffs):
-            raw[j * step] = c
-        return _reduce_mod_phi(raw, M)
+        if M == self.conductor:
+            return self.coeffs
+        return cyclotomic_ring(M).combine(self.coeffs, M // self.conductor)
 
     def is_rational(self) -> bool:
         return self.conductor == 1
@@ -166,21 +147,13 @@ class Cyclotomic:
             return NotImplemented
         if self.conductor == 1 and other.conductor == 1:
             return Cyclotomic(1, (self.coeffs[0] * other.coeffs[0],))
-        if self.conductor == 1:
-            q = self.coeffs[0]
-            return Cyclotomic._canonical(other.conductor, [q * c for c in other.coeffs])
-        if other.conductor == 1:
-            q = other.coeffs[0]
-            return Cyclotomic._canonical(self.conductor, [q * c for c in self.coeffs])
+        if self.conductor == 1 or other.conductor == 1:
+            q, v = (self.coeffs[0], other) if self.conductor == 1 else (other.coeffs[0], self)
+            return Cyclotomic._canonical(v.conductor, [q * c for c in v.coeffs])
         M = lcm(self.conductor, other.conductor)
-        a, b = self._lift(M), other._lift(M)
-        prod = [Fraction(0)] * (len(a) + len(b) - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    if y:
-                        prod[i + j] += x * y
-        return Cyclotomic._canonical(M, _reduce_mod_phi(prod, M))
+        # the ring's product leaves a slot no term reached as the int 0
+        prod = cyclotomic_ring(M).mul(self._lift(M), other._lift(M))
+        return Cyclotomic._canonical(M, list(map(Fraction, prod)))
 
     __rmul__ = __mul__
 
@@ -188,8 +161,6 @@ class Cyclotomic:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        if self.conductor == other.conductor:
-            return self.coeffs == other.coeffs
         M = lcm(self.conductor, other.conductor)
         return self._lift(M) == other._lift(M)
 
@@ -236,13 +207,14 @@ def _coerce(value) -> "Cyclotomic":
 
 
 class CyclotomicIntegers:
-    """The ring Z[zeta_m], for exact integer arithmetic in hot loops.
+    """The ring Z[zeta_m]: the one place that reduces modulo Phi_m.
 
     An element is a tuple of phi(m) ints in the power basis modulo Phi_m, the
     basis ``Cyclotomic`` uses, or a plain int when phi(m) = 1 (m = 1 or 2).
     The power basis is a basis, so equal elements have equal representations.
     ``add``, ``sub``, ``mul``, ``scale`` (by an int) and ``nonzero`` are plain
-    functions, so loops can bind them to locals.
+    functions, so loops can bind them to locals.  ``mul`` and ``combine`` also
+    take Fraction coefficients: that is how ``Cyclotomic`` multiplies and lifts.
     """
 
     def __init__(self, m: int):
@@ -300,6 +272,18 @@ class CyclotomicIntegers:
         """zeta_m^k."""
         return self.powers[k % self.m]
 
+    def combine(self, coeffs, step: int = 1):
+        """The sum of c_j zeta_m^(j step) over coeffs c_j, for j step < m."""
+        powers = self.powers
+        if self.degree == 1:
+            return sum(c * powers[j * step] for j, c in enumerate(coeffs))
+        out = [0] * self.degree
+        for j, c in enumerate(coeffs):
+            if c:
+                for t, w in enumerate(powers[j * step]):
+                    out[t] += c * w
+        return tuple(out)
+
     def to_cyclotomic(self, a, denominator: int = 1) -> Cyclotomic:
         """The element a / denominator of Q(zeta_m)."""
         coeffs = (a,) if self.degree == 1 else a
@@ -308,3 +292,9 @@ class CyclotomicIntegers:
             if c:
                 total = total + Cyclotomic.root_of_unity(self.m, j) * Fraction(c, denominator)
         return total
+
+
+@lru_cache(maxsize=None)
+def cyclotomic_ring(m: int) -> CyclotomicIntegers:
+    """The one ``CyclotomicIntegers(m)`` that ``Cyclotomic`` and the projector share."""
+    return CyclotomicIntegers(m)

@@ -63,6 +63,13 @@ def _degree(digits: str, caps: Caps) -> int:
 
 
 def parse_group(text: str, caps: Caps = DEFAULT_CAPS) -> GroupSpec:
+    try:
+        return _parse_group(text, caps)
+    except RecursionError:
+        raise SpecError("group expression is nested too deeply to parse") from None
+
+
+def _parse_group(text: str, caps: Caps) -> GroupSpec:
     src = text.strip()
     m = _NAMED_RE.match(src)
     if m:
@@ -86,8 +93,8 @@ def parse_group(text: str, caps: Caps = DEFAULT_CAPS) -> GroupSpec:
         parts = _split_top_level(body)
         if len(parts) != 2:
             raise SpecError(f"{op}(...) takes exactly two group expressions: {src!r}")
-        first = parse_group(parts[0], caps=caps)
-        second = parse_group(parts[1], caps=caps)
+        first = _parse_group(parts[0], caps)
+        second = _parse_group(parts[1], caps)
         if op == "product":
             group = direct_product_embed(first.group, second.group, caps=caps)
         else:

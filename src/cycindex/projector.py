@@ -29,7 +29,7 @@ from math import lcm
 
 from .caps import Caps, CapExceeded, DEFAULT_CAPS
 from .characters import LinearCharacter, enumerate_linear_characters
-from .cyclo import Cyclotomic, CyclotomicIntegers
+from .cyclo import Cyclotomic, CyclotomicIntegers, cyclotomic_ring
 from .perms import PermGroup, Permutation, compose, inverse
 
 Column = dict[int, object]  # row -> nonzero element of a CyclotomicIntegers ring
@@ -126,7 +126,7 @@ class MonomialModule:
         for e, gam in zip(alpha.exponents_in(self.group), self.gamma_exp):
             e *= sa
             weights.append([(e + k * sg) % m for k in gam])
-        return CyclotomicIntegers(m), weights
+        return cyclotomic_ring(m), weights
 
     def qualifying_indices(self, alpha: LinearCharacter,
                            weights: list[list[int]] | None = None) -> list[int]:
@@ -179,10 +179,7 @@ class _Packing:
         def value(e):
             v = seen.get(e)
             if v is None:
-                v = ring.zero
-                for k, power in enumerate(ring.powers):
-                    v = ring.add(v, ring.scale(power, (e >> k * B) & slot))
-                seen[e] = v
+                v = seen[e] = ring.combine([(e >> k * B) & slot for k in range(m)])
             return v
         self.value = value
 

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from cycindex import sign_character
+from cycindex.caps import DEFAULT_CAPS
 from cycindex.catalog import load_catalog
 from cycindex.cli import (EXIT_CAP, EXIT_MISMATCH, EXIT_OK, EXIT_USAGE,
                           JobSpec, main, run, run_suite)
@@ -321,6 +322,30 @@ class TestFailClosed:
         assert done.returncode in (0, 1, 2, 3)
         assert done.stdout.count("\n") == 1 and done.stdout.endswith("\n")
         assert "Traceback" not in done.stdout + done.stderr
+
+    def test_deeply_nested_catalog_is_a_usage_error(self, run_cli, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 200_000)
+        done = run_cli(["suite", "--catalog", str(path)])
+        assert (done.returncode, done.stdout) == (
+            EXIT_USAGE, "usage error: catalog is nested too deeply to read\n")
+        assert "Traceback" not in done.stderr
+
+    DEEP = "product(C(1)," * 1500 + "C(1)" + ")" * 1500
+
+    def test_deeply_nested_group_is_a_usage_error(self):
+        assert run(JobSpec("cycle-index", self.DEEP)) == (
+            EXIT_USAGE, "usage error: group expression is nested too deeply to parse\n")
+
+    def test_deeply_nested_group_is_a_suite_error(self):
+        jobs = [{"command": "cycle-index", "group": self.DEEP},
+                {"command": "verify", "group": "S(3)", "char": "sign", "n": 1}]
+        code, out = run_suite(jobs, caps=DEFAULT_CAPS)
+        lines = out.splitlines()
+        assert code == EXIT_USAGE
+        assert lines[0].startswith("ERROR cycle-index group=product(C(1),product(")
+        assert lines[1].startswith("ok    verify group=S(3)")
+        assert lines[2] == "suite: 1/2 jobs passed"
 
     def test_work_cap_bounds_group_closure(self, run_cli):
         done = run_cli(["characters", "--group", "C(1000)"],

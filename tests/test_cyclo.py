@@ -15,6 +15,15 @@ def sympy_cyclotomic(m):
     return tuple(int(c) for c in reversed(poly.all_coeffs()))
 
 
+def sympy_product_mod_phi(m, a, b):
+    """Oracle: (sum a_i x^i)(sum b_j x^j) rem Phi_m, ascending, padded to len(a)."""
+    x = sympy.Symbol("x")
+    pa, pb = (sympy.Poly(list(reversed(cs)), x) for cs in (a, b))
+    rem = sympy.rem(pa * pb, sympy.Poly(sympy.cyclotomic_poly(m, x), x))
+    coeffs = [int(c) for c in reversed(rem.all_coeffs())]
+    return coeffs + [0] * (len(a) - len(coeffs))
+
+
 class TestCyclotomicPolynomial:
     def test_m1(self):
         assert cyclotomic_polynomial(1) == (-1, 1)
@@ -111,6 +120,15 @@ class TestCyclotomicIntegers:
         assert R.to_cyclotomic(R.sub(a, b)) == ca - cb
         assert R.nonzero(a) == (not ca.is_zero())
         assert R.to_cyclotomic(a, 6) == ca * Fraction(1, 6)
+
+    @given(st.integers(1, 24), elements, elements)
+    def test_mul_matches_sympy_remainder(self, m, xs, ys):
+        R = CyclotomicIntegers(m)
+        a, b = xs[:R.degree], ys[:R.degree]
+
+        def element(cs):
+            return cs[0] if R.degree == 1 else tuple(cs)
+        assert R.mul(element(a), element(b)) == element(sympy_product_mod_phi(m, a, b))
 
     def test_sum_of_all_roots_is_zero(self):
         for m in range(2, 25):
