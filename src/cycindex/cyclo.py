@@ -4,7 +4,8 @@ Values are kept in the power basis 1, zeta, ..., zeta^(phi(m)-1).  Reduction
 modulo Phi_m lives only in ``CyclotomicIntegers``, in its table of the powers
 of zeta and its product; ``Cyclotomic`` is the field layer over one cached ring
 per conductor.  Rational values are demoted to conductor 1, so the common
-all-rational case runs on plain Fractions.
+all-rational case runs on plain Fractions.  ``add_at_conductors`` is the one rule
+for the conductor of a sum, run on Fractions by ``Cyclotomic`` and on ints by ``polys``.
 """
 
 from __future__ import annotations
@@ -54,9 +55,9 @@ def _poly_divide_exact(num: list[int], den: tuple[int, ...]) -> list[int]:
 class Cyclotomic:
     """An exact element of Q(zeta_m), with Fraction coefficients.
 
-    A sum or a product lives at the lcm of its operands' conductors and is
-    demoted only to conductor 1, so equal values can print at different
-    conductors.  Lifts, products and roots of unity come from ``cyclotomic_ring``.
+    A sum (``add_at_conductors``) or a product lives at the lcm of its operands'
+    conductors and is demoted only to conductor 1, so equal values can print at
+    different conductors.  Lifts, products and roots come from ``cyclotomic_ring``.
     """
 
     __slots__ = ("conductor", "coeffs")
@@ -81,21 +82,14 @@ class Cyclotomic:
     @staticmethod
     def root_of_unity(m: int, k: int) -> "Cyclotomic":
         """zeta_m^k, stored at the minimal conductor m/gcd(k, m)."""
-        if m < 1:
-            raise ValueError("m must be positive")
-        k %= m
-        g = gcd(k, m)
-        m, k = m // g, k // g
-        power = cyclotomic_ring(m).powers[k]
-        if m <= 2:  # phi(m) = 1, so the power is the int 1 or -1
-            return Cyclotomic.from_rational(power)
-        return Cyclotomic(m, tuple(map(Fraction, power)))
+        return Cyclotomic.over(*root_at_conductor(m, k))
 
     @staticmethod
-    def _canonical(m: int, reduced: list[Fraction]) -> "Cyclotomic":
-        if m > 1 and not any(reduced[1:]):
-            return Cyclotomic(1, (reduced[0],))
-        return Cyclotomic(m, tuple(reduced))
+    def over(conductor: int, value, denominator: int = 1) -> "Cyclotomic":
+        """value / denominator, value as ``add_at_conductors`` takes it; rational tuples go to 1."""
+        if conductor == 1 or not any(value[1:]):
+            return Cyclotomic(1, (Fraction(value if conductor == 1 else value[0], denominator),))
+        return Cyclotomic(conductor, tuple([Fraction(c, denominator) for c in value]))
 
     def _lift(self, M: int) -> tuple[Fraction, ...]:
         """Coefficients of this value written in Q(zeta_M), m | M."""
@@ -121,11 +115,10 @@ class Cyclotomic:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        if self.conductor == 1 and other.conductor == 1:
-            return Cyclotomic(1, (self.coeffs[0] + other.coeffs[0],))
-        M = lcm(self.conductor, other.conductor)
-        a, b = self._lift(M), other._lift(M)
-        return Cyclotomic._canonical(M, [x + y for x, y in zip(a, b)])
+        a, b = self.coeffs, other.coeffs
+        return Cyclotomic.over(*add_at_conductors(
+            self.conductor, a[0] if self.conductor == 1 else a,
+            other.conductor, b[0] if other.conductor == 1 else b))
 
     __radd__ = __add__
 
@@ -149,11 +142,9 @@ class Cyclotomic:
             return Cyclotomic(1, (self.coeffs[0] * other.coeffs[0],))
         if self.conductor == 1 or other.conductor == 1:
             q, v = (self.coeffs[0], other) if self.conductor == 1 else (other.coeffs[0], self)
-            return Cyclotomic._canonical(v.conductor, [q * c for c in v.coeffs])
+            return Cyclotomic.over(v.conductor, [q * c for c in v.coeffs])
         M = lcm(self.conductor, other.conductor)
-        # the ring's product leaves a slot no term reached as the int 0
-        prod = cyclotomic_ring(M).mul(self._lift(M), other._lift(M))
-        return Cyclotomic._canonical(M, list(map(Fraction, prod)))
+        return Cyclotomic.over(M, cyclotomic_ring(M).mul(self._lift(M), other._lift(M)))
 
     __rmul__ = __mul__
 
@@ -196,6 +187,29 @@ class Cyclotomic:
             "coeffs": [{"num": str(c.numerator), "den": str(c.denominator)}
                        for c in self.coeffs],
         }
+
+
+def root_at_conductor(m: int, k: int):
+    """zeta_m^k as (r, power) at r = m/gcd(k, m), or as (1, 1 or -1) when r <= 2."""
+    if m < 1:
+        raise ValueError("m must be positive")
+    g = gcd(k, m)
+    return (1 if m // g <= 2 else m // g), cyclotomic_ring(m // g).powers[k % m // g]
+
+
+def add_at_conductors(ca: int, a, cb: int, b):
+    """a at conductor ca plus b at conductor cb, as (conductor, value): at lcm(ca, cb),
+    or at 1 when it is rational.  A value at c > 1 is its tuple in the power basis of
+    Q(zeta_c) and is not rational; at conductor 1 it is an int or a Fraction."""
+    if cb == 1:  # a rational addend leaves the other's irrational part as it is
+        return (1, a + b) if ca == 1 else (ca, (a[0] + b,) + a[1:])
+    if ca == 1:
+        return cb, (a + b[0],) + b[1:]
+    M = lcm(ca, cb)
+    ring = cyclotomic_ring(M)
+    total = tuple(map(operator.add, a if ca == M else ring.combine(a, M // ca),
+                      b if cb == M else ring.combine(b, M // cb)))
+    return (M, total) if any(total[1:]) else (1, total[0])
 
 
 def _coerce(value) -> "Cyclotomic":

@@ -28,7 +28,7 @@ from .caps import Caps, CapExceeded, DEFAULT_CAPS
 from .characters import LinearCharacter, kernel
 from .cyclo import Cyclotomic
 from .perms import PermGroup, inverse
-from .polys import MonomialPoly
+from .polys import MonomialPoly, check_monomial_cap
 
 Point = tuple[int, ...]
 
@@ -130,6 +130,7 @@ def index_set_J(W: PermGroup, chi: LinearCharacter, n: int,
 def weighted_sum_g(W: PermGroup, chi: LinearCharacter, n: int,
                    caps: Caps = DEFAULT_CAPS) -> MonomialPoly:
     """g_n = sum of x_{j_1}...x_{j_d} over J(n, d, chi)."""
+    check_monomial_cap(W.degree, n, caps)
     nvars = n + 1
     counts: dict[tuple[int, ...], int] = {}
     for rep in index_set_J(W, chi, n, caps=caps):

@@ -2,27 +2,26 @@
 
 PowerSumPoly lives in p_1..p_d with cyclotomic coefficients and is isobaric:
 every exponent vector (c_1,...,c_d) satisfies sum(s * c_s) = weight.
-MonomialPoly lives in x_0..x_n.  Both subclass one sparse core,
-``_SparsePoly``, and differ in the key rule, the size field and the variable
-names; only PowerSumPoly has a product.  Term order for printing is reverse lexicographic on padded
-exponent vectors, which is graded for the isobaric and homogeneous
-polynomials produced here.
+MonomialPoly lives in x_0..x_n.  Both subclass one sparse core, ``_SparsePoly``,
+and differ in the key rule, the size field and the variable names; only
+PowerSumPoly has a product.  Terms print in reverse lexicographic order on padded
+exponent vectors, which is graded for the polynomials produced here.
 
-The algebra side substitutes into Z(chi; p_1..p_d) term by term:
-p_s -> x_0^s + ... + x_n^s gives g_n (``specialize``), expanded in int counts
-because every coefficient of that image is 1, and
-p_s -> Z_V(p_s, p_2s, ...) gives the insertion rule (``plethysm_insert``).
+``cycle_index`` and ``specialize`` (p_s -> x_0^s + ... + x_n^s, giving g_n) add
+int (conductor, value) pairs over one denominator with ``add_at_conductors``, in
+the order that fixes each conductor, and make one ``Cyclotomic`` per coefficient.
+The insertion rule p_s -> Z_V(p_s, p_2s, ...) (``plethysm_insert``) adds Cyclotomics.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import zip_longest
+from math import comb, lcm
 from typing import Mapping
 
 from .caps import Caps, CapExceeded, DEFAULT_CAPS
 from .characters import LinearCharacter
-from .cyclo import Cyclotomic
+from .cyclo import Cyclotomic, add_at_conductors, cyclotomic_ring, root_at_conductor
 from .perms import PermGroup, cycle_type
 
 
@@ -176,19 +175,16 @@ def cycle_index(G: PermGroup, chi: LinearCharacter) -> PowerSumPoly:
     """Generalized cycle index: |W|^-1 sum over sigma of chi(sigma) p^cycle_type(sigma).
 
     The values are summed in the element order of chi's group, one shared
-    root of unity per exponent.
+    int (conductor, value) root of unity per exponent, and divided by |W| at the end.
     """
     if chi.group != G:
         raise ValueError("character is defined on a different group")
-    roots = {e: Cyclotomic.root_of_unity(chi.order_m, e) for e in set(chi.exponents)}
-    acc: dict[tuple[int, ...], Cyclotomic] = {}
-    for sigma, e in zip(chi.group.images, chi.exponents):
-        key = cycle_type(sigma)
-        value = roots[e]
+    roots = {e: root_at_conductor(chi.order_m, e) for e in set(chi.exponents)}
+    acc: dict[tuple[int, ...], tuple] = {}
+    for key, e in zip(map(cycle_type, chi.group.images), chi.exponents):
         prev = acc.get(key)
-        acc[key] = value if prev is None else prev + value
-    scale = Fraction(1, G.order)
-    return PowerSumPoly(G.degree, {k: v * scale for k, v in acc.items()})
+        acc[key] = roots[e] if prev is None else add_at_conductors(*prev, *roots[e])
+    return PowerSumPoly(G.degree, {k: Cyclotomic.over(*v, G.order) for k, v in acc.items()})
 
 
 def specialize(Z: PowerSumPoly, n: int, caps: Caps = DEFAULT_CAPS) -> MonomialPoly:
@@ -197,23 +193,24 @@ def specialize(Z: PowerSumPoly, n: int, caps: Caps = DEFAULT_CAPS) -> MonomialPo
     A term's product of power sums is expanded one factor p_s at a time, s
     ascending, as int counts of exponent vectors.  ``stack[k]`` holds the
     expansion of the first k factors of the previous term, so the prefix two
-    consecutive terms share is expanded once.  Each count is scaled by the
-    term's coefficient and summed in ``sorted_terms`` order, the order that
-    fixes the conductor a non-rational sum is stored at.
+    consecutive terms share is expanded once.  Each count scales the term's int
+    coefficient over the common denominator D of Z, and the products are summed in
+    ``sorted_terms`` order, the order that fixes the conductor of a non-rational sum.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
+    check_monomial_cap(Z.weight, n, caps)
     nvars = n + 1
     stack: list[dict[tuple[int, ...], int]] = [{(0,) * nvars: 1}]
     factors: list[int] = []
-    acc: dict[tuple[int, ...], Cyclotomic] = {}
+    acc: dict[tuple[int, ...], tuple] = {}
+    D = lcm(1, *[c.denominator for coeff in Z.terms.values() for c in coeff.coeffs])
     for exps, coeff in Z.sorted_terms():
+        conductor, ring = coeff.conductor, cyclotomic_ring(coeff.conductor)
+        value = ring.combine([c.numerator * (D // c.denominator) for c in coeff.coeffs])
         term_factors = [s for s, c in enumerate(exps, start=1) for _ in range(c)]
-        shared = 0
-        for a, b in zip(factors, term_factors):
-            if a != b:
-                break
-            shared += 1
+        pairs = list(zip(factors, term_factors))
+        shared = next((i for i, (a, b) in enumerate(pairs) if a != b), len(pairs))
         del stack[shared + 1:]
         for s in term_factors[shared:]:
             base = stack[-1]
@@ -227,13 +224,21 @@ def specialize(Z: PowerSumPoly, n: int, caps: Caps = DEFAULT_CAPS) -> MonomialPo
             stack.append(expanded)
         factors = term_factors
         for key, count in stack[-1].items():
-            value = coeff if count == 1 else coeff * count
             prev = acc.get(key)
-            acc[key] = value if prev is None else prev + value
-    result = MonomialPoly(nvars, acc)
+            item = conductor, ring.scale(value, count)
+            acc[key] = item if prev is None else add_at_conductors(*prev, *item)
+    result = MonomialPoly(nvars, {k: Cyclotomic.over(*v, D) for k, v in acc.items()})
     if not is_symmetric(result):
         raise AssertionError("specialized cycle index is not symmetric")
     return result
+
+
+def check_monomial_cap(degree: int, n: int, caps: Caps = DEFAULT_CAPS) -> None:
+    """Refuse degree-d polynomials in x_0..x_n if C(n+d, d) monomials * (n+1) > work cap."""
+    k = min(degree, n)  # C(n+d, d) >= 2^k, so comb runs only on a small k
+    if k >= caps.orbit_work.bit_length() or comb(n + degree, k) * (n + 1) > caps.orbit_work:
+        raise CapExceeded(f"C({n + degree},{degree}) monomials of {n + 1} exponents "
+                          f"exceed work cap {caps.orbit_work}")
 
 
 def psum_reindex(Z: PowerSumPoly, s: int) -> PowerSumPoly:

@@ -9,7 +9,8 @@ from fractions import Fraction
 from itertools import combinations
 from math import lcm
 
-from cycindex import Cyclotomic, MonomialPoly, Permutation, cyclotomic_polynomial
+from cycindex import (Cyclotomic, MonomialPoly, Permutation, PowerSumPoly, cycle_type,
+                      cyclotomic_polynomial)
 from cycindex.caps import CapExceeded, DEFAULT_CAPS
 
 
@@ -133,6 +134,25 @@ def specialize_by_substitution(Z, n, caps=DEFAULT_CAPS):
                 prod = monomial_mul(prod, power_sum(s), caps)
         result = result.add(prod.scale(coeff))
     return result
+
+
+def cyclotomic_sum(a, b):
+    """a + b as ``Cyclotomic`` summed before the conductor rule had its own function:
+    both lifted to the lcm of their conductors, demoted to conductor 1 when rational."""
+    M = lcm(a.conductor, b.conductor)
+    total = [x + y for x, y in zip(a._lift(M), b._lift(M))]
+    return Cyclotomic(M, tuple(total)) if any(total[1:]) else Cyclotomic.from_rational(total[0])
+
+
+def cycle_index_by_cyclotomic_sums(G, chi):
+    """Z(chi) with one ``cyclotomic_sum`` of ``Cyclotomic`` values per element of
+    chi's group, in its element order, scaled by 1/|G| at the end."""
+    acc = {}
+    for sigma, e in zip(chi.group.images, chi.exponents):
+        key = cycle_type(sigma)
+        root = Cyclotomic.root_of_unity(chi.order_m, e)
+        acc[key] = root if key not in acc else cyclotomic_sum(acc[key], root)
+    return PowerSumPoly(G.degree, {k: v * Fraction(1, G.order) for k, v in acc.items()})
 
 
 def multiplication_matrix(a, m):

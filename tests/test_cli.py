@@ -365,6 +365,14 @@ class TestFailClosed:
         done = run_cli(["verify", "--group", "C(1)", "--n", "2000"], timeout=20)
         assert done.returncode == EXIT_OK
 
+    @pytest.mark.parametrize("command", ["verify", "gn"])
+    def test_monomials_over_the_work_cap_are_refused_before_any_orbit(self, run_cli, command):
+        # C(203, 3) = 1,394,101 monomials of 201 exponents: 2.8 * 10^8 entries
+        done = run_cli([command, "--group", "S(3)", "--n", "200"], timeout=20)
+        assert (done.returncode, done.stdout) == (
+            EXIT_CAP, "cap exceeded: C(203,3) monomials of 201 exponents exceed work cap "
+                      "100000000\n")
+
     def test_wreath_sign_verify_passes_at_the_default_work_cap(self, run_cli):
         # 4096 points but 35 orbits: 35 * 31104 row applications, far under 10^8
         done = run_cli(["verify", "--group", "wreath(S(3),S(4))", "--char", "sign",

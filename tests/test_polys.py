@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import comb
 
 import pytest
 import sympy
@@ -11,6 +12,7 @@ from cycindex import (Cyclotomic, LinearCharacter, MonomialPoly, PowerSumPoly,
                       wreath_character)
 from cycindex.caps import CapExceeded, Caps
 from cycindex.cli import JobSpec, run
+from cycindex.polys import check_monomial_cap
 from oracles import (coefficient, cycle_type_from_cycles, elementary_symmetric,
                      psum_sub, specialize_by_substitution)
 
@@ -174,6 +176,25 @@ class TestSpecializeAgainstSubstitution:
                 assert hit == _hits_term_cap(specialize_by_substitution, Z, n, caps), (n, cap)
                 outcomes.add(hit)
         assert outcomes == {True, False}
+
+
+class TestMonomialCap:
+    @pytest.mark.parametrize("degree,n", [(3, 4), (4, 3), (0, 7), (5, 0), (1, 2000)])
+    def test_fires_just_above_binomial_times_exponents(self, degree, n):
+        entries = comb(n + degree, degree) * (n + 1)
+        check_monomial_cap(degree, n, Caps(orbit_work=entries))
+        with pytest.raises(CapExceeded, match=fr"^C\({n + degree},{degree}\) monomials of {n + 1} "):
+            check_monomial_cap(degree, n, Caps(orbit_work=entries - 1))
+
+    def test_huge_degree_and_n_are_refused_without_forming_the_binomial(self):
+        with pytest.raises(CapExceeded, match="exceed work cap 100000000$"):
+            check_monomial_cap(10**8, 10**12, Caps())
+
+    def test_specialize_checks_before_expanding(self, S3):
+        Z = cycle_index(S3, unit_character(S3))
+        caps = Caps(orbit_work=comb(5, 3) * 3 - 1)
+        with pytest.raises(CapExceeded, match="exceed work cap 29$"):
+            specialize(Z, 2, caps)
 
 
 class TestPowerSumAlgebra:
