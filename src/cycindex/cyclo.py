@@ -229,6 +229,8 @@ class CyclotomicIntegers:
     ``add``, ``sub``, ``mul``, ``scale`` (by an int) and ``nonzero`` are plain
     functions, so loops can bind them to locals.  ``mul`` and ``combine`` also
     take Fraction coefficients: that is how ``Cyclotomic`` multiplies and lifts.
+    ``mul`` is ``operator.mul`` at phi(m) = 1, a closed form in zeta^2 = h0 + h1 zeta at
+    phi(m) = 2 (m = 3, 4, 6), and above that a schoolbook product reduced by ``powers``.
     """
 
     def __init__(self, m: int):
@@ -252,7 +254,6 @@ class CyclotomicIntegers:
         self.powers = tuple(tuple(p) for p in powers)
         self.zero = (0,) * deg
         self.nonzero = any
-        high = [self.powers[j % m] for j in range(deg, 2 * deg - 1)]
 
         def add(a, b):
             return tuple(map(operator.add, a, b))
@@ -260,18 +261,28 @@ class CyclotomicIntegers:
         def sub(a, b):
             return tuple(map(operator.sub, a, b))
 
-        def mul(a, b):
-            prod = [0] * (2 * deg - 1)
-            for i, x in enumerate(a):
-                if x:
-                    for j, y in enumerate(b):
-                        prod[i + j] += x * y
-            out = prod[:deg]
-            for c, power in zip(prod[deg:], high):
-                if c:
-                    for t, w in enumerate(power):
-                        out[t] += c * w
-            return tuple(out)
+        if deg == 2:
+            h0, h1 = self.powers[2]
+
+            def mul(a, b):
+                (a0, a1), (b0, b1) = a, b
+                top = a1 * b1
+                return (a0 * b0 + top * h0, a0 * b1 + a1 * b0 + top * h1)
+        else:
+            high = [self.powers[j % m] for j in range(deg, 2 * deg - 1)]
+
+            def mul(a, b):
+                prod = [0] * (2 * deg - 1)
+                for i, x in enumerate(a):
+                    if x:
+                        for j, y in enumerate(b):
+                            prod[i + j] += x * y
+                out = prod[:deg]
+                for c, power in zip(prod[deg:], high):
+                    if c:
+                        for t, w in enumerate(power):
+                            out[t] += c * w
+                return tuple(out)
 
         def scale(a, k):
             return tuple(k * x for x in a)

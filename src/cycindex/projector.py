@@ -16,9 +16,11 @@ x^m = 1 into every entry.  Idempotence, annihilation and kernel membership
 compare packed ints.  Equality in Z[zeta_m] is equality modulo Phi_m
 (1 + x + x^2 = 0 when m = 3), so where two ints differ their entries are
 compared in the power basis of ``CyclotomicIntegers``, which also serves zero
-tests, rank and trace; values become ``Cyclotomic`` only on output (``entry``,
-``trace``).  Rank uses division-free exact elimination (columns are rescaled
-by pivots, which preserves rank over the field of fractions).
+tests, rank and trace; values become ``Cyclotomic`` only on output (``trace``).
+Rank uses division-free exact elimination (columns are rescaled by pivots,
+which preserves rank over the field of fractions).  It pivots on the last
+nonzero row because each kernel column v_rep - zeta^k v_i then leads on its
+own i > rep, so the kernel family is already triangular and costs no product.
 """
 
 from __future__ import annotations
@@ -230,10 +232,6 @@ class SparseMatrix:
     def nnz(self) -> int:
         return sum(len(c) for c in self.cols)
 
-    def entry(self, row: int, col: int) -> Cyclotomic:
-        ring = self.ring
-        return ring.to_cyclotomic(self.cols[col].get(row, ring.zero), self.denominator)
-
     def trace(self) -> Cyclotomic:
         ring = self.ring
         total = ring.zero
@@ -253,14 +251,14 @@ class SparseMatrix:
 
 
 def rank_of_columns(columns: list[Column], ring: CyclotomicIntegers) -> int:
-    """Exact rank by division-free elimination; pivot on the first nonzero row."""
+    """Exact rank by division-free elimination; pivot on the last nonzero row."""
     mul, sub, nonzero = ring.mul, ring.sub, ring.nonzero
     pivots: dict[int, Column] = {}  # pivot row -> reduced column
     rank = 0
     for col in columns:
         work = col
         while work:
-            lead = min(work)
+            lead = max(work)
             pivot = pivots.get(lead)
             if pivot is None:
                 pivots[lead] = work

@@ -155,6 +155,12 @@ def cycle_index_by_cyclotomic_sums(G, chi):
     return PowerSumPoly(G.degree, {k: v * Fraction(1, G.order) for k, v in acc.items()})
 
 
+def entry(A, row, col):
+    """Entry (row, col) of the projector held by the ``SparseMatrix`` A, in Q(zeta_m)."""
+    ring = A.ring
+    return ring.to_cyclotomic(A.cols[col].get(row, ring.zero), A.denominator)
+
+
 def multiplication_matrix(a, m):
     """The phi(m) x phi(m) integer matrix of multiplication by a in Z[zeta_m].
 

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import product as iter_product
 
 import pytest
 import sympy
@@ -16,11 +17,14 @@ def sympy_cyclotomic(m):
 
 
 def sympy_product_mod_phi(m, a, b):
-    """Oracle: (sum a_i x^i)(sum b_j x^j) rem Phi_m, ascending, padded to len(a)."""
+    """Oracle: (sum a_i x^i)(sum b_j x^j) rem Phi_m, ascending, padded to len(a).
+
+    Coefficients are ints or Fractions, and come back as Fractions."""
     x = sympy.Symbol("x")
-    pa, pb = (sympy.Poly(list(reversed(cs)), x) for cs in (a, b))
+    pa, pb = (sympy.Poly([sympy.Rational(c.numerator, c.denominator) for c in reversed(cs)], x)
+              for cs in (a, b))
     rem = sympy.rem(pa * pb, sympy.Poly(sympy.cyclotomic_poly(m, x), x))
-    coeffs = [int(c) for c in reversed(rem.all_coeffs())]
+    coeffs = [Fraction(int(c.p), int(c.q)) for c in reversed(rem.all_coeffs())]
     return coeffs + [0] * (len(a) - len(coeffs))
 
 
@@ -129,6 +133,20 @@ class TestCyclotomicIntegers:
         def element(cs):
             return cs[0] if R.degree == 1 else tuple(cs)
         assert R.mul(element(a), element(b)) == element(sympy_product_mod_phi(m, a, b))
+
+    @pytest.mark.parametrize("m", [3, 4, 6])
+    def test_degree_two_mul_matches_sympy_remainder(self, m):
+        """The closed-form product of phi(m) = 2 on ints and on the Fraction lifts
+        that Cyclotomic multiplies, with a zero in each slot; ints stay ints."""
+        R = CyclotomicIntegers(m)
+        assert R.degree == 2
+        values = [0, 1, -2, Fraction(1, 2), Fraction(-5, 3)]
+        for a in iter_product(values, repeat=2):
+            for b in iter_product(values, repeat=2):
+                got = R.mul(a, b)
+                assert got == tuple(sympy_product_mod_phi(m, a, b)), (m, a, b)
+                if all(type(c) is int for c in a + b):
+                    assert all(type(c) is int for c in got), (m, a, b)
 
     def test_sum_of_all_roots_is_zero(self):
         for m in range(2, 25):

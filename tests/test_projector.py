@@ -9,14 +9,15 @@ from cycindex import (Cyclotomic, MonomialModule, PermGroup, build_projector,
                       check_annihilation, enumerate_linear_characters,
                       index_set_J, named_group, random_gamma_family,
                       sign_character, unit_character, verify_basis_prop)
+from cycindex import projector
 from cycindex.caps import CapExceeded, Caps
 from cycindex.cli import _tampered
 from cycindex.cyclo import CyclotomicIntegers
-from cycindex.grammar import parse_group
+from cycindex.grammar import parse_character, parse_group
 from cycindex.projector import (SparseMatrix, _Packing, check_idempotent,
                                 rank_of_columns)
-from oracles import (apply_perm, multiplication_matrix, rank_over_cyclotomic_field,
-                     value)
+from oracles import (apply_perm, entry, multiplication_matrix,
+                     rank_over_cyclotomic_field, value)
 
 
 def entrywise_product(A, B):
@@ -48,7 +49,7 @@ class TestProjectorMatrix:
         s2 = named_group("symmetric", 2)
         M = MonomialModule(s2, 0)
         A = build_projector(M, unit_character(s2))
-        assert A.dim == 1 and A.entry(0, 0) == 1
+        assert A.dim == 1 and entry(A, 0, 0) == 1
 
     def test_s2_sign_projects_onto_antisymmetric_line(self):
         # basis 00, 01, 10, 11: the sign projector is (v01 - v10)/2 on the middle block
@@ -58,8 +59,8 @@ class TestProjectorMatrix:
         half = Cyclotomic.from_rational(Fraction(1, 2))
         i01, i10 = M.index((0, 1)), M.index((1, 0))
         assert not A.cols[M.index((0, 0))] and not A.cols[M.index((1, 1))]
-        assert A.entry(i01, i01) == half and A.entry(i10, i01) == -half
-        assert A.entry(i01, i10) == -half and A.entry(i10, i10) == half
+        assert entry(A, i01, i01) == half and entry(A, i10, i01) == -half
+        assert entry(A, i01, i10) == -half and entry(A, i10, i10) == half
         assert A.rank() == 1 and A.trace() == 1
 
     def test_trivial_group_gives_identity(self):
@@ -158,7 +159,7 @@ class TestDefinitionOracle:
                 for r in range(M.dim):
                     for c in range(M.dim):
                         want = expected.get((r, c), Cyclotomic.zero())
-                        assert A.entry(r, c) == want, (G, alpha, r, c)
+                        assert entry(A, r, c) == want, (G, alpha, r, c)
 
 
 class TestPackedArithmetic:
@@ -319,6 +320,18 @@ class TestBasisReport:
             verify_basis_prop(MonomialModule(S3, 1), alpha)
 
 
+class _CountingRing:
+    """Stands in for a ring in ``rank_of_columns``: counts ``mul``, delegates the rest."""
+
+    def __init__(self, ring):
+        self.ring, self.products = ring, 0
+        self.sub, self.nonzero, self.zero = ring.sub, ring.nonzero, ring.zero
+
+    def mul(self, a, b):
+        self.products += 1
+        return self.ring.mul(a, b)
+
+
 class TestRank:
     def test_rank_of_columns_small_cases(self):
         Z = CyclotomicIntegers(1)
@@ -370,6 +383,24 @@ class TestRank:
             cols.append({r: v for r, v in total.items() if R.nonzero(v)})
         cols = data.draw(st.permutations(cols), label="order")
         assert rank_of_columns(cols, R) == rank_over_cyclotomic_field(cols, m)
+
+    @pytest.mark.parametrize("expr, selector", [("S(5)", "sign"), ("D(5)", "index:1"),
+                                                ("C(4)", "index:1"), ("S(4)", "unit")])
+    def test_kernel_family_and_J_columns_make_no_product(self, monkeypatch, expr, selector):
+        """The rank calls of verify_basis_prop are A, the J columns and the kernel
+        family (1.2.4)-(1.2.5); under the last-row pivot only A's elimination multiplies."""
+        products = []
+
+        def counted(columns, ring):
+            stand_in = _CountingRing(ring)
+            rank = rank_of_columns(columns, stand_in)
+            products.append(stand_in.products)
+            return rank
+        monkeypatch.setattr(projector, "rank_of_columns", counted)
+        spec = parse_group(expr)
+        rep = verify_basis_prop(MonomialModule(spec.group, 2), parse_character(selector, spec))
+        assert rep.ok
+        assert len(products) == 3 and products[1:] == [0, 0], products
 
 
 class TestRandomGamma:
