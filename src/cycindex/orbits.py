@@ -11,17 +11,18 @@ its ``operator.itemgetter``, or by ``tuple`` for a group of degree <= 1, which
 is trivial.  ``enumerate_orbits`` applies every row to each representative
 once, and counts those #orbits * |W| row applications against the work cap;
 that one scan counts the orbit, checks orbit-stabilizer and keeps the indices
-of the rows that fix the representative as ``OrbitRecord.stabilizer``.  The
-chi-orbit flag reads the character's exponents at those indices, and the
-H-orbit census reads W_i and H_i from them, so neither computes a stabilizer
-of its own.
+of the rows that fix the representative as ``OrbitRecord.stabilizer``, one
+record per orbit.  The chi flag is read from those indices, by ``index_set_J``
+straight off the scan, and the H-orbit census reads W_i and H_i from them.
+``full_census`` (the ``orbits`` command) copies each record twice more, in
+``chi_orbit_filter`` and in ``h_orbit_census``.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from itertools import product
+from itertools import compress, count, product
 from operator import itemgetter
 
 from .caps import Caps, CapExceeded, DEFAULT_CAPS
@@ -44,7 +45,7 @@ def _row_getters(W: PermGroup) -> list:
     return [itemgetter(*row) if len(row) > 1 else tuple for row in action_table(W)]
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class OrbitRecord:
     rep: Point
     size: int
@@ -75,18 +76,19 @@ def enumerate_orbits(W: PermGroup, n: int, caps: Caps = DEFAULT_CAPS) -> OrbitTa
     if npoints > caps.orbit_work:
         raise CapExceeded(f"(n+1)^d = {npoints} exceeds work cap {caps.orbit_work}")
     getters = _row_getters(W)
+    order = W.order
     radix = n + 1
     visited = bytearray(npoints)
     records = []
     work = 0
     for code, p in enumerate(product(range(radix), repeat=d)):
         if not visited[code]:
-            work += W.order
+            work += order
             if work > caps.orbit_work:
                 raise CapExceeded(
                     f"row applications #orbits * |W| exceed work cap {caps.orbit_work}")
             images = [g(p) for g in getters]
-            stab = tuple([k for k, q in enumerate(images) if q == p])
+            stab = tuple(compress(count(), map(p.__eq__, images)))
             orbit = set(images)
             for q in orbit:
                 qcode = 0
@@ -94,28 +96,29 @@ def enumerate_orbits(W: PermGroup, n: int, caps: Caps = DEFAULT_CAPS) -> OrbitTa
                     qcode = qcode * radix + v
                 visited[qcode] = 1
             size = len(orbit)
-            if size * len(stab) != W.order:
+            if size * len(stab) != order:
                 raise AssertionError("orbit-stabilizer identity violated")
-            records.append(OrbitRecord(rep=p, size=size, stabilizer=stab))
+            records.append(OrbitRecord(p, size, stab))
     total = sum(r.size for r in records)
     if total != npoints:
         raise AssertionError("orbit sizes do not partition the hypercube")
     return OrbitTable(group=W, n=n, records=tuple(records))
 
 
-def chi_orbit_filter(table: OrbitTable, chi: LinearCharacter) -> OrbitTable:
-    """Mark each orbit whose stabilizers lie in the kernel of chi.
-
-    The orbit is flagged when chi's exponent is 0 at every element of the
-    representative's recorded stabilizer.  Those indices follow the table's
-    group order, so the exponents are read in that order too.
-    """
-    if chi.group != table.group:
+def _chi_flag(group: PermGroup, chi: LinearCharacter):
+    """Whether a record of ``group``'s orbits is a chi-orbit: chi's exponent, read
+    in ``group``'s element order, is 0 at every index of its stabilizer."""
+    if chi.group != group:
         raise ValueError("character is defined on a different group")
-    exponents = chi.exponents_in(table.group)
+    exponents = chi.exponents_in(group)
+    return lambda rec: not any(map(exponents.__getitem__, rec.stabilizer))
+
+
+def chi_orbit_filter(table: OrbitTable, chi: LinearCharacter) -> OrbitTable:
+    """Mark each orbit whose stabilizers lie in the kernel of chi."""
+    is_chi_orbit = _chi_flag(table.group, chi)
     return OrbitTable(table.group, table.n, tuple([
-        OrbitRecord(rec.rep, rec.size, rec.stabilizer,
-                    not any([exponents[k] for k in rec.stabilizer]),
+        OrbitRecord(rec.rep, rec.size, rec.stabilizer, is_chi_orbit(rec),
                     rec.tau_H, rec.h_orbit_length)
         for rec in table.records]))
 
@@ -123,8 +126,9 @@ def chi_orbit_filter(table: OrbitTable, chi: LinearCharacter) -> OrbitTable:
 def index_set_J(W: PermGroup, chi: LinearCharacter, n: int,
                 caps: Caps = DEFAULT_CAPS) -> list[Point]:
     """Lex-sorted representatives of the chi-orbits on [0,n]^d."""
-    table = chi_orbit_filter(enumerate_orbits(W, n, caps=caps), chi)
-    return [rec.rep for rec in table.records if rec.is_chi_orbit]
+    records = enumerate_orbits(W, n, caps=caps).records
+    is_chi_orbit = _chi_flag(W, chi)
+    return [rec.rep for rec in records if is_chi_orbit(rec)]
 
 
 def weighted_sum_g(W: PermGroup, chi: LinearCharacter, n: int,

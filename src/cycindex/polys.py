@@ -10,7 +10,10 @@ exponent vectors, which is graded for the polynomials produced here.
 ``cycle_index`` and ``specialize`` (p_s -> x_0^s + ... + x_n^s, giving g_n) add
 int (conductor, value) pairs over one denominator with ``add_at_conductors``, in
 the order that fixes each conductor, and make one ``Cyclotomic`` per coefficient.
-The insertion rule p_s -> Z_V(p_s, p_2s, ...) (``plethysm_insert``) adds Cyclotomics.
+``specialize`` checks symmetry on those int pairs: a term and its image under a
+swap of variables are summed from the same counts in the same order, so their pairs
+are equal.  The insertion rule p_s -> Z_V(p_s, p_2s, ...) (``plethysm_insert``)
+adds Cyclotomics.
 """
 
 from __future__ import annotations
@@ -77,11 +80,12 @@ class _SparsePoly:
         for exps, coeff in self.sorted_terms():
             mono = "*".join(f"{self.VAR}{i + self.FIRST}" + (f"^{e}" if e > 1 else "")
                             for i, e in enumerate(exps) if e)
-            negative = coeff.is_rational() and coeff.as_rational() < 0
+            rational = coeff.is_rational()
+            negative = rational and coeff.coeffs[0] < 0
             shown = -coeff if negative else coeff
             if not mono:
                 body = _coeff_text(shown)
-            elif shown == Cyclotomic.one():
+            elif rational and abs(coeff.coeffs[0]) == 1:
                 body = mono
             else:
                 body = f"{_coeff_text(shown)}*{mono}"
@@ -227,10 +231,9 @@ def specialize(Z: PowerSumPoly, n: int, caps: Caps = DEFAULT_CAPS) -> MonomialPo
             prev = acc.get(key)
             item = conductor, ring.scale(value, count)
             acc[key] = item if prev is None else add_at_conductors(*prev, *item)
-    result = MonomialPoly(nvars, {k: Cyclotomic.over(*v, D) for k, v in acc.items()})
-    if not is_symmetric(result):
+    if not _symmetric_terms(acc):
         raise AssertionError("specialized cycle index is not symmetric")
-    return result
+    return MonomialPoly(nvars, {k: Cyclotomic.over(*v, D) for k, v in acc.items()})
 
 
 def check_monomial_cap(degree: int, n: int, caps: Caps = DEFAULT_CAPS) -> None:
@@ -270,16 +273,17 @@ def plethysm_insert(Z_outer: PowerSumPoly, Z_inner: PowerSumPoly,
 
 
 def is_symmetric(P: MonomialPoly) -> bool:
-    """Invariance under every adjacent transposition of the variables.
+    """Invariance under every adjacent transposition of the variables."""
+    return _symmetric_terms(P.terms)
 
-    Each term is checked against its image under each swap of two unequal
-    neighbouring exponents; stored coefficients are never zero, so a missing
-    image means the polynomial is not symmetric.
-    """
-    terms = P.terms
-    for exps, coeff in terms.items():
+
+def _symmetric_terms(terms: Mapping[tuple[int, ...], object]) -> bool:
+    """Each term's image under each swap of two unequal neighbouring exponents holds
+    a value == to its own; a missing image fails, so zero values must be absent or
+    stored at both."""
+    for exps, value in terms.items():
         for i in range(len(exps) - 1):
             a, b = exps[i], exps[i + 1]
-            if a != b and terms.get(exps[:i] + (b, a) + exps[i + 2:]) != coeff:
+            if a != b and terms.get(exps[:i] + (b, a) + exps[i + 2:]) != value:
                 return False
     return True

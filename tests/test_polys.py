@@ -12,6 +12,7 @@ from cycindex import (Cyclotomic, LinearCharacter, MonomialPoly, PowerSumPoly,
                       wreath_character)
 from cycindex.caps import CapExceeded, Caps
 from cycindex.cli import JobSpec, run
+from cycindex import polys
 from cycindex.polys import check_monomial_cap
 from oracles import (coefficient, cycle_type_from_cycles, elementary_symmetric,
                      psum_sub, specialize_by_substitution)
@@ -296,6 +297,23 @@ class TestMonomialHelpers:
         skew = MonomialPoly(2, {(2, 1): Cyclotomic.one()})
         assert not is_symmetric(skew)
         assert is_symmetric(MonomialPoly(3, {}))
+
+    def test_specialize_checks_symmetry_on_its_own_sums(self, A4, monkeypatch):
+        # Z(A4) = (p1^4 + 8 p1 p3 + 3 p2^2)/12: p1 p3 adds first to the sum at x0^4, and
+        # 1 more there leaves x1^4 behind, which the check on the int pairs must see
+        real, calls = polys.add_at_conductors, []
+
+        def off_by_one_once(*args):
+            calls.append(args)
+            total = real(*args)
+            return real(*total, 1, 1) if len(calls) == 1 else total
+
+        Z = cycle_index(A4, unit_character(A4))
+        monkeypatch.setattr(polys, "add_at_conductors", off_by_one_once)
+        with pytest.raises(AssertionError, match="not symmetric"):
+            specialize(Z, 2)
+        monkeypatch.setattr(polys, "add_at_conductors", real)
+        assert is_symmetric(specialize(Z, 2))
 
     def test_equality_and_coefficient_edge_cases(self, S3):
         # power-sum equality ignores the weight; monomial equality checks nvars

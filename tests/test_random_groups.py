@@ -6,16 +6,21 @@ Random well-formed groups (named groups and ``gen[d]{...}`` of degree at most
 ``sign`` or ``index:k``, where k is taken modulo the character count that
 ``characters`` printed.  Every job must exit 0, or 3 when a cap stops it; an
 exit of 1 is a failed identity or an internal error.  The caps keep each
-group at most 2,000 elements.
+group at most 2,000 elements.  The same groups, with a random linear
+character, check the chi-orbit flag and the stabilizers that
+``enumerate_orbits`` records against brute force.
 """
 
 import json
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from cycindex.caps import Caps
+from cycindex import chi_orbit_filter, enumerate_linear_characters, enumerate_orbits, index_set_J
+from cycindex.caps import CapExceeded, Caps
 from cycindex.cli import EXIT_CAP, EXIT_OK, JobSpec, run
+from cycindex.grammar import parse_group
 from cycindex.perms import Permutation
+from oracles import apply_perm
 
 CAPS = Caps(group_order=2_000, orbit_work=400_000, projector_dim=256, specialize_terms=100_000)
 
@@ -49,3 +54,25 @@ def test_no_well_formed_job_exits_one(group_expr, selector):
         selector = f"index:{selector % count}"
     code, out = run(JobSpec("verify", group_expr, selector, n=1, caps=CAPS))
     assert code in (EXIT_OK, EXIT_CAP), out
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(groups, st.integers(0, 30), st.integers(0, 2))
+def test_chi_orbits_are_read_off_the_recorded_stabilizers(group_expr, k, n):
+    """index_set_J and chi_orbit_filter agree, and each record's stabilizer and
+    chi flag match the elements that fix its representative under ``apply_perm``."""
+    caps = Caps(group_order=2_000, orbit_work=20_000)
+    try:
+        G = parse_group(group_expr, caps=caps).group
+        chars = enumerate_linear_characters(G, caps=caps)
+        table = enumerate_orbits(G, n, caps=caps)
+    except CapExceeded:
+        return
+    chi = chars[k % len(chars)]
+    flagged = chi_orbit_filter(table, chi).records
+    assert index_set_J(G, chi, n, caps=caps) == [rec.rep for rec in flagged if rec.is_chi_orbit]
+    elements = [Permutation(g) for g in G.images]
+    for rec in flagged:
+        fixing = [i for i, g in enumerate(elements) if apply_perm(g, rec.rep) == rec.rep]
+        assert rec.stabilizer == tuple(fixing)
+        assert rec.is_chi_orbit == all(chi.exponent(elements[i]) == 0 for i in fixing)
