@@ -11,8 +11,7 @@ from .characters import (LinearCharacter, enumerate_linear_characters, kernel,
                          product_character, sign_character, unit_character,
                          wreath_character)
 from .cyclo import Cyclotomic, cyclotomic_polynomial
-from .orbits import (OrbitRecord, OrbitTable, chi_orbit_filter,
-                     enumerate_orbits, full_census, h_orbit_census,
+from .orbits import (OrbitRecord, OrbitTable, enumerate_orbits, full_census,
                      index_set_J, weighted_sum_g)
 from .perms import (PermGroup, Permutation, compose, cycle_type,
                     decompose_wreath_element, derived_subgroup,
@@ -31,8 +30,8 @@ __all__ = [
     "LinearCharacter", "enumerate_linear_characters", "kernel",
     "product_character", "sign_character", "unit_character", "wreath_character",
     "Cyclotomic", "cyclotomic_polynomial",
-    "OrbitRecord", "OrbitTable", "chi_orbit_filter", "enumerate_orbits",
-    "full_census", "h_orbit_census", "index_set_J", "weighted_sum_g",
+    "OrbitRecord", "OrbitTable", "enumerate_orbits", "full_census",
+    "index_set_J", "weighted_sum_g",
     "PermGroup", "Permutation", "compose", "cycle_type",
     "decompose_wreath_element", "derived_subgroup", "direct_product_embed",
     "group_closure", "inverse", "named_group", "perm_from_cycles", "wreath_embed",

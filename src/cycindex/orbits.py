@@ -8,14 +8,14 @@ Every point action in this module is a row of ``action_table``: each element
 of W acts on a point by one row of source indices, the inverse of its image
 tuple, in the group's own element order.  A row is applied to a point p by
 its ``operator.itemgetter``, or by ``tuple`` for a group of degree <= 1, which
-is trivial.  ``enumerate_orbits`` applies every row to each representative
-once, and counts those #orbits * |W| row applications against the work cap;
-that one scan counts the orbit, checks orbit-stabilizer and keeps the indices
-of the rows that fix the representative as ``OrbitRecord.stabilizer``, one
-record per orbit.  The chi flag is read from those indices, by ``index_set_J``
-straight off the scan, and the H-orbit census reads W_i and H_i from them.
-``full_census`` (the ``orbits`` command) copies each record twice more, in
-``chi_orbit_filter`` and in ``h_orbit_census``.
+is trivial.  One scan, ``_scan``, applies every row to each representative
+once and counts those #orbits * |W| row applications against the work cap;
+it forms the orbit, checks orbit-stabilizer and keeps the indices of the rows
+that fix the representative.  ``enumerate_orbits`` turns that into one
+``OrbitRecord`` per orbit, and ``index_set_J`` reads the chi flag straight off
+those stabilizer indices.  ``full_census`` (the ``orbits`` command) consumes
+the same scan: it splits each orbit it forms into H-orbits with H's rows and
+builds one record per orbit with every field set.
 """
 
 from __future__ import annotations
@@ -59,7 +59,7 @@ class OrbitRecord:
         return len(self.stabilizer)
 
 
-@dataclass(frozen=True)
+@dataclass
 class OrbitTable:
     group: PermGroup
     n: int
@@ -70,57 +70,64 @@ class OrbitTable:
         return self.group.degree
 
 
-def enumerate_orbits(W: PermGroup, n: int, caps: Caps = DEFAULT_CAPS) -> OrbitTable:
+def _scan(W: PermGroup, n: int, caps: Caps):
+    """The row getters of W, and a generator of (rep, orbit, stabilizer) for each
+    W-orbit on [0,n]^d, in scan order.
+
+    The point cap is checked at once, before any row is applied.  The generator
+    applies every row to each representative and counts those row applications
+    against the work cap as it goes; ``orbit`` is the set of the images and is
+    the caller's to consume, ``stabilizer`` the indices of the rows that fix rep.
+    """
     d = W.degree
     npoints = (n + 1) ** d
     if npoints > caps.orbit_work:
         raise CapExceeded(f"(n+1)^d = {npoints} exceeds work cap {caps.orbit_work}")
     getters = _row_getters(W)
-    order = W.order
-    radix = n + 1
-    visited = bytearray(npoints)
-    records = []
-    work = 0
-    for code, p in enumerate(product(range(radix), repeat=d)):
-        if not visited[code]:
-            work += order
-            if work > caps.orbit_work:
-                raise CapExceeded(
-                    f"row applications #orbits * |W| exceed work cap {caps.orbit_work}")
-            images = [g(p) for g in getters]
-            stab = tuple(compress(count(), map(p.__eq__, images)))
-            orbit = set(images)
-            for q in orbit:
-                qcode = 0
-                for v in q:
-                    qcode = qcode * radix + v
-                visited[qcode] = 1
-            size = len(orbit)
-            if size * len(stab) != order:
-                raise AssertionError("orbit-stabilizer identity violated")
-            records.append(OrbitRecord(p, size, stab))
-    total = sum(r.size for r in records)
-    if total != npoints:
-        raise AssertionError("orbit sizes do not partition the hypercube")
-    return OrbitTable(group=W, n=n, records=tuple(records))
+
+    def orbits():
+        order = W.order
+        radix = n + 1
+        visited = bytearray(npoints)
+        work = total = 0
+        for code, p in enumerate(product(range(radix), repeat=d)):
+            if not visited[code]:
+                work += order
+                if work > caps.orbit_work:
+                    raise CapExceeded(
+                        f"row applications #orbits * |W| exceed work cap {caps.orbit_work}")
+                images = [g(p) for g in getters]
+                stab = tuple(compress(count(), map(p.__eq__, images)))
+                orbit = set(images)
+                for q in orbit:
+                    qcode = 0
+                    for v in q:
+                        qcode = qcode * radix + v
+                    visited[qcode] = 1
+                size = len(orbit)
+                if size * len(stab) != order:
+                    raise AssertionError("orbit-stabilizer identity violated")
+                total += size
+                yield p, orbit, stab
+        if total != npoints:
+            raise AssertionError("orbit sizes do not partition the hypercube")
+
+    return getters, orbits()
+
+
+def enumerate_orbits(W: PermGroup, n: int, caps: Caps = DEFAULT_CAPS) -> OrbitTable:
+    _, orbits = _scan(W, n, caps)
+    return OrbitTable(W, n, tuple([OrbitRecord(rep, len(orbit), stab)
+                                   for rep, orbit, stab in orbits]))
 
 
 def _chi_flag(group: PermGroup, chi: LinearCharacter):
-    """Whether a record of ``group``'s orbits is a chi-orbit: chi's exponent, read
-    in ``group``'s element order, is 0 at every index of its stabilizer."""
+    """Whether an orbit with the given stabilizer indices, in ``group``'s element
+    order, is a chi-orbit: chi's exponent is 0 at every one of them."""
     if chi.group != group:
         raise ValueError("character is defined on a different group")
     exponents = chi.exponents_in(group)
-    return lambda rec: not any(map(exponents.__getitem__, rec.stabilizer))
-
-
-def chi_orbit_filter(table: OrbitTable, chi: LinearCharacter) -> OrbitTable:
-    """Mark each orbit whose stabilizers lie in the kernel of chi."""
-    is_chi_orbit = _chi_flag(table.group, chi)
-    return OrbitTable(table.group, table.n, tuple([
-        OrbitRecord(rec.rep, rec.size, rec.stabilizer, is_chi_orbit(rec),
-                    rec.tau_H, rec.h_orbit_length)
-        for rec in table.records]))
+    return lambda stabilizer: not any(map(exponents.__getitem__, stabilizer))
 
 
 def index_set_J(W: PermGroup, chi: LinearCharacter, n: int,
@@ -128,7 +135,7 @@ def index_set_J(W: PermGroup, chi: LinearCharacter, n: int,
     """Lex-sorted representatives of the chi-orbits on [0,n]^d."""
     records = enumerate_orbits(W, n, caps=caps).records
     is_chi_orbit = _chi_flag(W, chi)
-    return [rec.rep for rec in records if is_chi_orbit(rec)]
+    return [rec.rep for rec in records if is_chi_orbit(rec.stabilizer)]
 
 
 def weighted_sum_g(W: PermGroup, chi: LinearCharacter, n: int,
@@ -147,23 +154,25 @@ def weighted_sum_g(W: PermGroup, chi: LinearCharacter, n: int,
                                 for key, count in counts.items()})
 
 
-def h_orbit_census(table: OrbitTable, H: PermGroup) -> OrbitTable:
-    """Count H-orbits inside each W-orbit and check the index identity at the rep.
+def full_census(W: PermGroup, chi: LinearCharacter, n: int,
+                caps: Caps = DEFAULT_CAPS) -> OrbitTable:
+    """The orbit table with the chi flag and the H-orbit census, H = ker chi.
 
-    Every element of W and of H acts through its row of ``action_table(W)``.
-    W_i is the representative's recorded stabilizer and H_i its elements in H.
+    Each W-orbit of the scan is split into H-orbits: the least point left seeds
+    the next H-orbit, formed by applying H's rows to it.  The H-orbits must have
+    equal lengths and partition the W-orbit, and |W:H| |H:H_i| = |W:W_i| |W_i:H_i|
+    must hold at the representative, where W_i is its recorded stabilizer and
+    H_i the elements of W_i in H.
     """
-    W = table.group
-    if not H.is_subgroup_of(W):
-        raise ValueError("H is not a subgroup of W")
-    index_WH = W.order // H.order
-    rows = _row_getters(W)
+    is_chi_orbit = _chi_flag(W, chi)
+    getters, orbits = _scan(W, n, caps)
+    H = kernel(chi)
     in_H = [g in H.image_index for g in W.images]
-    h_rows = [g for g, inside in zip(rows, in_H) if inside]
+    h_rows = list(compress(getters, in_H))
+    index_WH = W.order // H.order
     records = []
-    for rec in table.records:
-        rep = rec.rep
-        remaining = {g(rep) for g in rows}
+    for rep, remaining, stab in orbits:
+        size = len(remaining)
         lengths = []
         while remaining:
             seed = min(remaining)
@@ -171,26 +180,15 @@ def h_orbit_census(table: OrbitTable, H: PermGroup) -> OrbitTable:
             lengths.append(len(h_orbit))
             remaining -= h_orbit
         if len(set(lengths)) != 1:
-            raise AssertionError(f"H-orbit lengths differ inside the orbit of {rec.rep}")
+            raise AssertionError(f"H-orbit lengths differ inside the orbit of {rep}")
         tau, h_len = len(lengths), lengths[0]
-        if tau * h_len != rec.size:
+        if tau * h_len != size:
             raise AssertionError("H-orbits do not partition the W-orbit")
-        # |G:H| |H:H_i| = |G:G_i| |G_i:H_i| at the representative
-        h_stab_order = sum([in_H[k] for k in rec.stabilizer])
-        lhs = index_WH * (H.order // h_stab_order)
-        rhs = rec.size * (rec.stabilizer_order // h_stab_order)
-        if lhs != rhs:
-            raise AssertionError(f"index identity fails at {rec.rep}")
-        records.append(OrbitRecord(rec.rep, rec.size, rec.stabilizer,
-                                   rec.is_chi_orbit, tau, h_len))
-    return OrbitTable(W, table.n, tuple(records))
-
-
-def full_census(W: PermGroup, chi: LinearCharacter, n: int,
-                caps: Caps = DEFAULT_CAPS) -> OrbitTable:
-    """Orbit table annotated with both the chi-orbit flag and the kernel census."""
-    table = chi_orbit_filter(enumerate_orbits(W, n, caps=caps), chi)
-    return h_orbit_census(table, kernel(chi))
+        h_stab_order = sum([in_H[k] for k in stab])
+        if index_WH * (H.order // h_stab_order) != size * (len(stab) // h_stab_order):
+            raise AssertionError(f"index identity fails at {rep}")
+        records.append(OrbitRecord(rep, size, stab, is_chi_orbit(stab), tau, h_len))
+    return OrbitTable(W, n, tuple(records))
 
 
 TSV_COLUMNS = ("rep", "size", "stab_order", "tau_H", "h_len", "chi_orbit")
@@ -203,9 +201,9 @@ def census_tsv(table: OrbitTable) -> str:
             ",".join(str(v) for v in rec.rep),
             str(rec.size),
             str(rec.stabilizer_order),
-            "" if rec.tau_H is None else str(rec.tau_H),
-            "" if rec.h_orbit_length is None else str(rec.h_orbit_length),
-            "" if rec.is_chi_orbit is None else str(rec.is_chi_orbit).lower(),
+            str(rec.tau_H),
+            str(rec.h_orbit_length),
+            str(rec.is_chi_orbit).lower(),
         ]))
     return "\n".join(lines) + "\n"
 

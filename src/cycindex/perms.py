@@ -208,9 +208,6 @@ class PermGroup:
     def __repr__(self):
         return f"PermGroup(degree={self.degree}, order={self.order})"
 
-    def is_subgroup_of(self, other: "PermGroup") -> bool:
-        return self.degree == other.degree and self.image_index.keys() <= other.image_index.keys()
-
     @staticmethod
     def from_elements(elements: Iterable[Images]) -> "PermGroup":
         """Build a group from its elements as image tuples; ValueError if they are not a group.

@@ -20,6 +20,32 @@ def apply_perm(sigma, point):
     return tuple(point[source[s + 1]] for s in range(len(point)))
 
 
+def census_by_apply_perm(table, chi, H):
+    """The census and the chi flag with every element applied through apply_perm.
+
+    For each record of ``table``: (rep, tau_H, h_orbit_length, |H_i|, |W_i|,
+    chi flag), the W-orbit of rep split into H-orbits, each seeded from the
+    least point left."""
+    W = table.group
+    index_WH = W.order // H.order
+    records = []
+    for rec in table.records:
+        remaining = {apply_perm(g, rec.rep) for g in W}
+        lengths = []
+        while remaining:
+            h_orbit = {apply_perm(h, min(remaining)) for h in H}
+            lengths.append(len(h_orbit))
+            remaining -= h_orbit
+        assert len(set(lengths)) == 1 and len(lengths) * lengths[0] == rec.size
+        stab = [g for g in W if apply_perm(g, rec.rep) == rec.rep]
+        h_stab_order = sum(1 for g in stab if g in H)
+        assert index_WH * (H.order // h_stab_order) == \
+            rec.size * (len(stab) // h_stab_order)
+        records.append((rec.rep, len(lengths), lengths[0], h_stab_order,
+                        len(stab), all(chi.exponent(g) == 0 for g in stab)))
+    return records
+
+
 def identity(degree):
     return Permutation(tuple(range(1, degree + 1)))
 

@@ -2,15 +2,16 @@ from itertools import product
 
 import pytest
 
-from cycindex import (chi_orbit_filter, cycle_index, cycle_type,
-                      enumerate_linear_characters, enumerate_orbits,
-                      full_census, h_orbit_census, index_set_J, kernel,
+from cycindex import (cycle_index, cycle_type, enumerate_linear_characters,
+                      enumerate_orbits, full_census, index_set_J, kernel,
                       named_group, sign_character, specialize, unit_character,
                       weighted_sum_g)
+from cycindex import orbits
 from cycindex.caps import CapExceeded, Caps
+from cycindex.cli import EXIT_CAP, JobSpec, run
 from cycindex.orbits import action_table, census_json, census_tsv
 from cycindex.perms import PermGroup
-from oracles import apply_perm, evaluate_all_ones
+from oracles import apply_perm, census_by_apply_perm, evaluate_all_ones
 
 
 def burnside_orbit_count(W, n):
@@ -88,12 +89,12 @@ class TestEnumerateOrbits:
 class TestChiOrbits:
     def test_c4_faithful_character(self, C4):
         chi = enumerate_linear_characters(C4)[1]
-        table = chi_orbit_filter(enumerate_orbits(C4, 1), chi)
+        table = full_census(C4, chi, 1)
         passing = [r.rep for r in table.records if r.is_chi_orbit]
         assert passing == [(0, 0, 0, 1), (0, 0, 1, 1), (0, 1, 1, 1)]
 
     def test_unit_character_passes_everything(self, S3):
-        table = chi_orbit_filter(enumerate_orbits(S3, 2), unit_character(S3))
+        table = full_census(S3, unit_character(S3), 2)
         assert all(r.is_chi_orbit for r in table.records)
 
     def test_s3_sign_needs_distinct_coordinates(self, S3):
@@ -102,7 +103,7 @@ class TestChiOrbits:
 
     def test_chi_orbit_flag_is_representative_independent(self, C4):
         chi = enumerate_linear_characters(C4)[1]
-        for rec in chi_orbit_filter(enumerate_orbits(C4, 1), chi).records:
+        for rec in full_census(C4, chi, 1).records:
             flags = set()
             for g in C4:
                 point = apply_perm(g, rec.rep)
@@ -139,28 +140,6 @@ class TestWeightedSum:
             for chi in enumerate_linear_characters(G):
                 if not chi.is_unit():
                     assert weighted_sum_g(G, chi, 0).is_zero()
-
-
-def census_by_apply_perm(table, chi, H):
-    """Oracle: the census and the chi flag with every element applied through apply_perm."""
-    W = table.group
-    index_WH = W.order // H.order
-    records = []
-    for rec in table.records:
-        remaining = {apply_perm(g, rec.rep) for g in W}
-        lengths = []
-        while remaining:
-            h_orbit = {apply_perm(h, min(remaining)) for h in H}
-            lengths.append(len(h_orbit))
-            remaining -= h_orbit
-        assert len(set(lengths)) == 1 and len(lengths) * lengths[0] == rec.size
-        stab = [g for g in W if apply_perm(g, rec.rep) == rec.rep]
-        h_stab_order = sum(1 for g in stab if g in H)
-        assert index_WH * (H.order // h_stab_order) == \
-            rec.size * (len(stab) // h_stab_order)
-        records.append((rec.rep, len(lengths), lengths[0], h_stab_order,
-                        len(stab), all(chi.exponent(g) == 0 for g in stab)))
-    return records
 
 
 class TestDegreeOne:
@@ -202,8 +181,9 @@ class TestCensus:
                        for rep, tau, h_len, _, stab, flag in expected]
 
     def test_s3_split_orbit(self, S3, A3):
-        table = enumerate_orbits(S3, 2)
-        table = h_orbit_census(table, A3)
+        chi = sign_character(S3)
+        assert kernel(chi) == A3
+        table = full_census(S3, chi, 2)
         by_rep = {r.rep: r for r in table.records}
         free = by_rep[(0, 1, 2)]
         assert free.size == 6 and free.tau_H == 2 and free.h_orbit_length == 3
@@ -211,7 +191,7 @@ class TestCensus:
         assert pinned.size == 3 and pinned.tau_H == 1 and pinned.h_orbit_length == 3
 
     def test_h_equals_w_gives_tau_one(self, S4):
-        table = h_orbit_census(enumerate_orbits(S4, 2), S4)
+        table = full_census(S4, unit_character(S4), 2)
         assert all(r.tau_H == 1 for r in table.records)
 
     def test_tau_divides_index_and_saturation_equivalence(self):
@@ -232,17 +212,57 @@ class TestCensus:
         W = named_group(kind, d)
         G = PermGroup.from_elements(reversed(W.images))
         assert G == W and G.images != W.images
-        table = enumerate_orbits(G, n)
         for chi in enumerate_linear_characters(G):
-            H = kernel(chi)
+            table = full_census(G, chi, n)
             got = [(r.rep, r.tau_H, r.h_orbit_length, r.stabilizer_order)
-                   for r in h_orbit_census(table, H).records]
+                   for r in table.records]
             assert got == [(rep, tau, h_len, stab) for rep, tau, h_len, _, stab, _
-                           in census_by_apply_perm(table, chi, H)]
+                           in census_by_apply_perm(table, chi, kernel(chi))]
 
-    def test_rejects_non_subgroup(self, S3, C4):
-        with pytest.raises(ValueError):
-            h_orbit_census(enumerate_orbits(S3, 1), C4)
+    @pytest.mark.parametrize("cap", [100, 255])
+    def test_point_cap_stops_the_census_before_the_kernel_and_any_row(
+            self, S4, monkeypatch, cap):
+        """S(4) at n=3 has 256 points: the cap refuses the job before ker chi or a row."""
+        def no_kernel(chi):
+            raise AssertionError("kernel ran before the point cap was checked")
+
+        applied = _count_rows(monkeypatch)
+        monkeypatch.setattr(orbits, "kernel", no_kernel)
+        message = f"(n+1)^d = 256 exceeds work cap {cap}"
+        with pytest.raises(CapExceeded) as exc:
+            full_census(S4, sign_character(S4), 3, caps=Caps(orbit_work=cap))
+        assert str(exc.value) == message
+        code, out = run(JobSpec("orbits", "S(4)", "sign", n=3, caps=Caps(orbit_work=cap)))
+        assert (code, out) == (EXIT_CAP, f"cap exceeded: {message}\n")
+        assert applied == [0]
+
+    def test_rows_applied_are_one_scan_and_the_h_orbits(self, S4, monkeypatch):
+        """#orbits * |W| rows form the W-orbits, and tau_H * |H| more split each of
+        them; no row of W is applied a second time."""
+        applied = _count_rows(monkeypatch)
+        chi = sign_character(S4)
+        table = full_census(S4, chi, 2)
+        H = kernel(chi)
+        assert len(table.records) == 15 and H.order == 12
+        assert applied == [len(table.records) * S4.order
+                           + sum(r.tau_H for r in table.records) * H.order]
+
+
+def _count_rows(monkeypatch):
+    """Wrap each callable that ``orbits._row_getters`` returns with a counter;
+    the returned one-item list holds the number of rows applied so far."""
+    applied = [0]
+    row_getters = orbits._row_getters
+
+    def counted(getter):
+        def apply(point):
+            applied[0] += 1
+            return getter(point)
+        return apply
+
+    monkeypatch.setattr(orbits, "_row_getters",
+                        lambda W: [counted(g) for g in row_getters(W)])
+    return applied
 
 
 class TestOrbitIdentity:
@@ -287,13 +307,11 @@ class TestReorderedGroup:
         on_w = enumerate_linear_characters(W)
         on_copy = enumerate_linear_characters(copy)
         assert len(on_copy) == len(on_w)
-        orbits = enumerate_orbits(W, n)
         reordered = 0
         for theta in on_copy:
             [chi] = [c for c in on_w if c == theta]
             reordered += theta.exponents != chi.exponents
             assert cycle_index(W, theta).render_text() == cycle_index(W, chi).render_text()
-            assert chi_orbit_filter(orbits, theta) == chi_orbit_filter(orbits, chi)
             assert weighted_sum_g(W, theta, n) == weighted_sum_g(W, chi, n)
             assert full_census(W, theta, n) == full_census(W, chi, n)
         assert reordered

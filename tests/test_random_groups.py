@@ -7,20 +7,21 @@ Random well-formed groups (named groups and ``gen[d]{...}`` of degree at most
 ``characters`` printed.  Every job must exit 0, or 3 when a cap stops it; an
 exit of 1 is a failed identity or an internal error.  The caps keep each
 group at most 2,000 elements.  The same groups, with a random linear
-character, check the chi-orbit flag and the stabilizers that
-``enumerate_orbits`` records against brute force.
+character, check every field of the ``full_census`` records (the stabilizer,
+the chi flag and the H-orbit census, H = ker chi) against brute force with
+``apply_perm``.
 """
 
 import json
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from cycindex import chi_orbit_filter, enumerate_linear_characters, enumerate_orbits, index_set_J
+from cycindex import enumerate_linear_characters, full_census, index_set_J, kernel
 from cycindex.caps import CapExceeded, Caps
 from cycindex.cli import EXIT_CAP, EXIT_OK, JobSpec, run
 from cycindex.grammar import parse_group
 from cycindex.perms import Permutation
-from oracles import apply_perm
+from oracles import apply_perm, census_by_apply_perm
 
 CAPS = Caps(group_order=2_000, orbit_work=400_000, projector_dim=256, specialize_terms=100_000)
 
@@ -59,20 +60,25 @@ def test_no_well_formed_job_exits_one(group_expr, selector):
 @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(groups, st.integers(0, 30), st.integers(0, 2))
 def test_chi_orbits_are_read_off_the_recorded_stabilizers(group_expr, k, n):
-    """index_set_J and chi_orbit_filter agree, and each record's stabilizer and
-    chi flag match the elements that fix its representative under ``apply_perm``."""
+    """index_set_J and the census's chi flags agree; each census record's
+    stabilizer and chi flag match the elements that fix its representative under
+    ``apply_perm``, and its tau_H, H-orbit length and stabilizer order match
+    ``census_by_apply_perm``."""
     caps = Caps(group_order=2_000, orbit_work=20_000)
     try:
         G = parse_group(group_expr, caps=caps).group
-        chars = enumerate_linear_characters(G, caps=caps)
-        table = enumerate_orbits(G, n, caps=caps)
+        chi = enumerate_linear_characters(G, caps=caps)
+        chi = chi[k % len(chi)]
+        table = full_census(G, chi, n, caps=caps)
     except CapExceeded:
         return
-    chi = chars[k % len(chars)]
-    flagged = chi_orbit_filter(table, chi).records
-    assert index_set_J(G, chi, n, caps=caps) == [rec.rep for rec in flagged if rec.is_chi_orbit]
+    records = table.records
+    assert index_set_J(G, chi, n, caps=caps) == [rec.rep for rec in records if rec.is_chi_orbit]
     elements = [Permutation(g) for g in G.images]
-    for rec in flagged:
+    for rec in records:
         fixing = [i for i, g in enumerate(elements) if apply_perm(g, rec.rep) == rec.rep]
         assert rec.stabilizer == tuple(fixing)
         assert rec.is_chi_orbit == all(chi.exponent(elements[i]) == 0 for i in fixing)
+    assert [(r.rep, r.tau_H, r.h_orbit_length, r.stabilizer_order) for r in records] == \
+        [(rep, tau, h_len, stab) for rep, tau, h_len, _, stab, _
+         in census_by_apply_perm(table, chi, kernel(chi))]
