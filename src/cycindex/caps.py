@@ -17,9 +17,6 @@ class Caps:
     projector_dim: int = 1024
     specialize_terms: int = 5_000_000
 
-    def with_overrides(self, **kwargs) -> "Caps":
-        return replace(self, **{k: v for k, v in kwargs.items() if v is not None})
-
 
 _ENV_NAMES = {
     "group_order": "CYCINDEX_GROUP_CAP",
@@ -39,7 +36,7 @@ def caps_from_env(base: Caps | None = None) -> Caps:
             if not raw.strip().isdecimal():
                 raise ValueError(f"{env_name} must be a nonnegative integer, got {raw!r}")
             overrides[field_name] = int(raw)
-    return caps.with_overrides(**overrides)
+    return replace(caps, **overrides)
 
 
 DEFAULT_CAPS = Caps()

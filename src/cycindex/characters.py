@@ -20,8 +20,7 @@ from operator import sub
 
 from .caps import Caps, CapExceeded, DEFAULT_CAPS
 from .perms import (PermGroup, Permutation, _right_mul, cycle_type,
-                    decompose_wreath_element, derived_subgroup,
-                    direct_product_embed, split_product_element)
+                    decompose_wreath_element, derived_subgroup, split_product_element)
 
 
 class LinearCharacter:
@@ -53,18 +52,6 @@ class LinearCharacter:
     def image_order(self) -> int:
         """Order of the image of the character, a divisor of order_m."""
         return lcm(1, *(self.order_m // gcd(e, self.order_m) for e in self.exponents))
-
-    def __eq__(self, other):
-        if not isinstance(other, LinearCharacter):
-            return NotImplemented
-        if self.group != other.group:
-            return False
-        m = lcm(self.order_m, other.order_m)
-        scale_a, scale_b = m // self.order_m, m // other.order_m
-        return all((ea * scale_a - eb * scale_b) % m == 0
-                   for ea, eb in zip(self.exponents, other.exponents_in(self.group)))
-
-    __hash__ = None
 
     def __repr__(self):
         tag = self.name or f"order {self.image_order()}"
@@ -179,10 +166,11 @@ def _spanning_tree(G: PermGroup) -> list[tuple[int, int, int]]:
 
 
 def relator_hermite_form(G: PermGroup, m: int,
-                         tree: list[tuple[int, int, int]] | None = None) -> list[list[int]]:
+                         tree: list[tuple[int, int, int]]) -> list[list[int]]:
     """Hermite normal form, modulo m, of the abelianized relator lattice of G.
 
-    With w(x) the generator exponent sums of x's word along the spanning tree,
+    With w(x) the generator exponent sums of x's word along the spanning tree
+    ``tree`` (``_spanning_tree(G)``),
     every table edge x g_k = y gives the relator w(x) + e_k - w(y) (0 on tree
     edges).  These and m Z^#gens span a lattice L with Z^#gens / L = G/[G,G]
     when m is a multiple of its exponent.  Row i is zero left of column i, its
@@ -192,8 +180,6 @@ def relator_hermite_form(G: PermGroup, m: int,
     relators are formed and deduplicated in C loops.
     """
     n, size = len(G.generators), G.order
-    if tree is None:
-        tree = _spanning_tree(G)
     width = (2 * size).bit_length()  # slot values lie in [size - depth, size + depth + 1]
     units = [1 << (width * k) for k in range(n)]
     words = [0] * size
@@ -256,11 +242,9 @@ def kernel(chi: LinearCharacter) -> PermGroup:
 
 
 def product_character(chi: LinearCharacter, theta: LinearCharacter,
-                      P: PermGroup | None = None) -> LinearCharacter:
-    """chi (x) theta on the direct-product embedding of their groups."""
+                      P: PermGroup) -> LinearCharacter:
+    """chi (x) theta on P, the direct-product embedding of their groups."""
     W, V = chi.group, theta.group
-    if P is None:
-        P = direct_product_embed(W, V)
     m = lcm(chi.order_m, theta.order_m)
     exponents = []
     for g in P.generators:

@@ -9,7 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .caps import DEFAULT_CAPS, CapExceeded, Caps, caps_from_env
 from .catalog import default_catalog, load_catalog
@@ -324,7 +324,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.cap < 0:
             sys.stdout.write(f"usage error: --cap must be a nonnegative integer, got {args.cap}\n")
             return EXIT_USAGE
-        caps = caps.with_overrides(orbit_work=args.cap)
+        caps = replace(caps, orbit_work=args.cap)
     if args.command == "suite":
         try:
             jobs = default_catalog(caps=caps) if args.catalog is None \

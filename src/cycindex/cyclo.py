@@ -125,15 +125,6 @@ class Cyclotomic:
     def __neg__(self):
         return Cyclotomic(self.conductor, tuple(-c for c in self.coeffs))
 
-    def __sub__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return _coerce(other) + (-self)
-
     def __mul__(self, other):
         other = _coerce(other)
         if other is NotImplemented:
@@ -160,18 +151,16 @@ class Cyclotomic:
 
     def __str__(self):
         if self.conductor == 1:
-            q = self.coeffs[0]
-            return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
+            return str(self.coeffs[0])
         parts = []
         for j, c in enumerate(self.coeffs):
             if not c:
                 continue
-            coeff = str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
             if j == 0:
-                parts.append(coeff)
+                parts.append(str(c))
             else:
                 power = f"z{self.conductor}" if j == 1 else f"z{self.conductor}^{j}"
-                parts.append(power if c == 1 else f"{coeff}*{power}")
+                parts.append(power if c == 1 else f"{c}*{power}")
         return " + ".join(parts).replace("+ -", "- ")
 
     def __repr__(self):

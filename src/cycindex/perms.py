@@ -3,8 +3,8 @@
 A group element is its image tuple, ``images[s-1]`` the image of the point s,
 or its index in the group's element order; ``compose``, ``inverse`` and
 ``cycle_type`` act on image tuples.  ``Permutation`` is the boundary type: it
-parses cycle notation, names a group's generators, prints elements in error
-messages, and is what iterating over a ``PermGroup`` yields.
+parses cycle notation, names a group's generators and prints elements in error
+messages; a ``PermGroup`` holds its elements as image tuples only.
 Every group is closed by one capped breadth-first walk, ``_bfs_order``, which
 fixes the element order and records the right-multiplication table:
 ``right[k][i]`` is the index of ``images[i] * generators[k]``, one compact
@@ -184,12 +184,6 @@ class PermGroup:
     @property
     def order(self) -> int:
         return len(self.images)
-
-    def __len__(self):
-        return len(self.images)
-
-    def __iter__(self):
-        return map(_trusted, self.images)
 
     def __contains__(self, p: Permutation) -> bool:
         return p.images in self.image_index

@@ -48,9 +48,6 @@ class _SparsePoly:
         self.size = size
         self.terms = {self._key(exps): coeff for exps, coeff in terms.items() if coeff}
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def add(self, other):
         if self.size != other.size:
             raise ValueError(f"{self.SIZE} mismatch: {self.size} != {other.size}")
@@ -107,9 +104,8 @@ class _SparsePoly:
 
 
 def _coeff_text(coeff: Cyclotomic) -> str:
-    if coeff.is_rational():
-        q = coeff.as_rational()
-        return str(q.numerator) if q.denominator == 1 else f"({q.numerator}/{q.denominator})"
+    if coeff.is_rational() and coeff.as_rational().denominator == 1:
+        return str(coeff)
     return f"({coeff})"
 
 
@@ -156,13 +152,9 @@ class PowerSumPoly(_SparsePoly):
 
 
 class MonomialPoly(_SparsePoly):
-    """Sparse polynomial in x_0, ..., x_{nvars-1}; every key has length nvars."""
+    """Sparse polynomial in x_0, ..., x_{size-1}; every key has length ``size``."""
 
     SIZE, VAR, FIRST, SIZE_IN_EQ = "nvars", "x", 0, True
-
-    @property
-    def nvars(self) -> int:
-        return self.size
 
     def _key(self, exps):
         key = tuple(exps)

@@ -79,15 +79,6 @@ class MonomialModule:
             self.validate_cocycle()
         self.validate_representation()
 
-    @property
-    def points(self) -> list[tuple[int, ...]]:  # decoded from their codes, in index order
-        return [tuple(i // w % (self.n + 1) for w in self.weights) for i in range(self.dim)]
-
-    def index(self, point) -> int:
-        if len(point) != self.d or not all(0 <= p <= self.n for p in point):
-            raise ValueError(f"{point!r} is not a point of [0,{self.n}]^{self.d}")
-        return sum(p * w for p, w in zip(point, self.weights))
-
     def _check_law(self, a: int, b: int, ab: int) -> bool:
         """g_a g_b = g_ab on every point, with gamma_i(g_a g_b) = gamma_{g_b.i}(g_a) gamma_i(g_b)."""
         pa, pb, pab = self.point_map[a], self.point_map[b], self.point_map[ab]
@@ -130,14 +121,9 @@ class MonomialModule:
             weights.append([(e + k * sg) % m for k in gam])
         return cyclotomic_ring(m), weights
 
-    def qualifying_indices(self, alpha: LinearCharacter,
-                           weights: list[list[int]] | None = None) -> list[int]:
-        """I(M, alpha): points whose stabilizer satisfies gamma_i = alpha^-1.
-
-        ``weights`` is the table of ``twist(alpha)`` when the caller has it.
-        """
-        if weights is None:
-            _, weights = self.twist(alpha)
+    def qualifying_indices(self, weights: list[list[int]]) -> list[int]:
+        """I(M, alpha): points whose stabilizer satisfies gamma_i = alpha^-1, read off
+        ``weights``, the table of ``twist(alpha)``."""
         return [i for i in range(self.dim)
                 if not any(w[i] for pm, w in zip(self.point_map, weights) if pm[i] == i)]
 
@@ -273,18 +259,17 @@ def rank_of_columns(columns: list[Column], ring: CyclotomicIntegers) -> int:
     return rank
 
 
-def build_projector(M: MonomialModule, alpha: LinearCharacter,
-                    twist: tuple[CyclotomicIntegers, list[list[int]]] | None = None,
-                    transversal: tuple[list[int], dict[int, int], dict[int, int]] | None = None
+def build_projector(M: MonomialModule,
+                    twist: tuple[CyclotomicIntegers, list[list[int]]],
+                    transversal: tuple[list[int], dict[int, int], dict[int, int]]
                     ) -> SparseMatrix:
     """a_alpha = |G|^-1 sum over g of alpha(g) g, as a matrix in the v_i basis.
 
     The columns hold |G| a_alpha, whose entries are sums of roots of unity.
-    ``twist`` and ``transversal`` are ``M.twist(alpha)`` and
-    ``M.orbit_transversal()`` when the caller has them.
+    ``twist`` and ``transversal`` are ``M.twist(alpha)`` and ``M.orbit_transversal()``.
     """
-    ring, weights = twist or M.twist(alpha)
-    _, rep_of, _ = transversal or M.orbit_transversal()
+    ring, weights = twist
+    _, rep_of, _ = transversal
     packing = _Packing(rep_of, M.dim, M.group.order, ring)
     B, offset = packing.B, packing.offset
     packed = [0] * M.dim
@@ -312,26 +297,20 @@ def check_idempotent(A: SparseMatrix) -> bool:
     return True
 
 
-def check_annihilation(M: MonomialModule, alpha: LinearCharacter,
-                       A: SparseMatrix | None = None,
-                       twist: tuple[CyclotomicIntegers, list[list[int]]] | None = None,
-                       qualifying: set[int] | None = None) -> bool:
+def check_annihilation(M: MonomialModule, A: SparseMatrix,
+                       twist: tuple[CyclotomicIntegers, list[list[int]]],
+                       qualifying: set[int]) -> bool:
     """Columns outside I(M, alpha) vanish, and a_alpha g = alpha(g)^-1 a_alpha.
 
     The intertwining relation is checked on generators, which extends to the
     whole group multiplicatively; it makes every difference alpha^-1(g) z - g z
     a kernel element.  Column i of a_alpha g is gamma_i(g) times column g.i of
     a_alpha, so the relation reads alpha(g) gamma_i(g) A[:, g.i] = A[:, i],
-    compared column by column.  ``twist`` and ``qualifying`` are
-    ``M.twist(alpha)`` and the set of ``M.qualifying_indices(alpha)`` when the
-    caller has them.
+    compared column by column.  ``A`` is the projector of alpha, ``twist`` is
+    ``M.twist(alpha)`` and ``qualifying`` the set of ``M.qualifying_indices``
+    of its table.
     """
-    twist = twist or M.twist(alpha)
     _, weights = twist
-    if A is None:
-        A = build_projector(M, alpha, twist)
-    if qualifying is None:
-        qualifying = set(M.qualifying_indices(alpha, weights))
     for i in range(M.dim):
         if i not in qualifying and A.cols[i]:
             return False
@@ -371,12 +350,12 @@ def verify_basis_prop(M: MonomialModule, alpha: LinearCharacter) -> BasisReport:
     """
     twist = M.twist(alpha)
     ring, weights = twist
-    qualifying = set(M.qualifying_indices(alpha, weights))
+    qualifying = set(M.qualifying_indices(weights))
     transversal = M.orbit_transversal()
     reps, rep_of, via = transversal
-    A = build_projector(M, alpha, twist, transversal)
+    A = build_projector(M, twist, transversal)
     idempotent = check_idempotent(A)
-    annihilation_ok = check_annihilation(M, alpha, A, twist, qualifying)
+    annihilation_ok = check_annihilation(M, A, twist, qualifying)
 
     # families (1.2.4) and (1.2.5): differences v_rep - zeta^k v_i along the
     # transversal plus the excluded representatives; they must lie in

@@ -30,14 +30,14 @@ def census_by_apply_perm(table, chi, H):
     index_WH = W.order // H.order
     records = []
     for rec in table.records:
-        remaining = {apply_perm(g, rec.rep) for g in W}
+        remaining = {apply_perm(g, rec.rep) for g in map(Permutation, W.images)}
         lengths = []
         while remaining:
-            h_orbit = {apply_perm(h, min(remaining)) for h in H}
+            h_orbit = {apply_perm(h, min(remaining)) for h in map(Permutation, H.images)}
             lengths.append(len(h_orbit))
             remaining -= h_orbit
         assert len(set(lengths)) == 1 and len(lengths) * lengths[0] == rec.size
-        stab = [g for g in W if apply_perm(g, rec.rep) == rec.rep]
+        stab = [g for g in map(Permutation, W.images) if apply_perm(g, rec.rep) == rec.rep]
         h_stab_order = sum(1 for g in stab if g in H)
         assert index_WH * (H.order // h_stab_order) == \
             rec.size * (len(stab) // h_stab_order)
@@ -63,6 +63,17 @@ def cycle_type_from_cycles(sigma):
 
 def perm_order(p):
     return lcm(*map(len, p.cycles()))
+
+
+def same_character(chi, psi):
+    """Whether chi and psi are one function: the same group (its elements in any
+    order) and equal values at every element, whatever their orders m."""
+    if chi.group != psi.group:
+        return False
+    m = lcm(chi.order_m, psi.order_m)
+    scale_a, scale_b = m // chi.order_m, m // psi.order_m
+    return all((ea * scale_a - eb * scale_b) % m == 0
+               for ea, eb in zip(chi.exponents, psi.exponents_in(chi.group)))
 
 
 def value(chi, g):
@@ -136,7 +147,7 @@ def monomial_mul(a, b, caps=DEFAULT_CAPS):
         for eb, cb in b.terms.items():
             key = tuple(x + y for x, y in zip(ea, eb))
             out[key] = out[key] + ca * cb if key in out else ca * cb
-    return MonomialPoly(a.nvars, out)
+    return MonomialPoly(a.size, out)
 
 
 def specialize_by_substitution(Z, n, caps=DEFAULT_CAPS):
@@ -179,6 +190,20 @@ def cycle_index_by_cyclotomic_sums(G, chi):
         root = Cyclotomic.root_of_unity(chi.order_m, e)
         acc[key] = root if key not in acc else cyclotomic_sum(acc[key], root)
     return PowerSumPoly(G.degree, {k: v * Fraction(1, G.order) for k, v in acc.items()})
+
+
+def module_points(M):
+    """The points of [0,n]^d of the monomial module M in basis order, decoded
+    from their codes sum p_k (n+1)^(d-1-k)."""
+    return [tuple(i // w % (M.n + 1) for w in M.weights) for i in range(M.dim)]
+
+
+def module_index(M, point):
+    """The basis index (code) of a point of [0,n]^d in M; ValueError for any
+    other tuple, which a bare weighted sum could read as some valid code."""
+    if len(point) != M.d or not all(0 <= p <= M.n for p in point):
+        raise ValueError(f"{point!r} is not a point of [0,{M.n}]^{M.d}")
+    return sum(p * w for p, w in zip(point, M.weights))
 
 
 def entry(A, row, col):

@@ -10,8 +10,8 @@ from cycindex import orbits
 from cycindex.caps import CapExceeded, Caps
 from cycindex.cli import EXIT_CAP, JobSpec, run
 from cycindex.orbits import action_table, census_json, census_tsv
-from cycindex.perms import PermGroup
-from oracles import apply_perm, census_by_apply_perm, evaluate_all_ones
+from cycindex.perms import PermGroup, Permutation
+from oracles import apply_perm, census_by_apply_perm, evaluate_all_ones, same_character
 
 
 def burnside_orbit_count(W, n):
@@ -25,7 +25,7 @@ def orbit_count_by_canonical_forms(W, n):
     """Second oracle: count distinct lex-min forms over all points."""
     reps = set()
     for p in product(range(n + 1), repeat=W.degree):
-        reps.add(min(apply_perm(g, p) for g in W))
+        reps.add(min(apply_perm(g, p) for g in map(Permutation, W.images)))
     return len(reps)
 
 
@@ -63,7 +63,7 @@ class TestEnumerateOrbits:
 
     def test_reps_are_lex_minimal(self, V4):
         for r in enumerate_orbits(V4, 2).records:
-            assert r.rep == min(apply_perm(g, r.rep) for g in V4)
+            assert r.rep == min(apply_perm(g, r.rep) for g in map(Permutation, V4.images))
 
     def test_work_cap(self, S4):
         with pytest.raises(CapExceeded):
@@ -105,9 +105,9 @@ class TestChiOrbits:
         chi = enumerate_linear_characters(C4)[1]
         for rec in full_census(C4, chi, 1).records:
             flags = set()
-            for g in C4:
+            for g in map(Permutation, C4.images):
                 point = apply_perm(g, rec.rep)
-                stab = [h for h in C4 if apply_perm(h, point) == point]
+                stab = [h for h in map(Permutation, C4.images) if apply_perm(h, point) == point]
                 flags.add(all(chi.exponent(h) == 0 for h in stab))
             assert flags == {rec.is_chi_orbit}
 
@@ -139,7 +139,7 @@ class TestWeightedSum:
             G = named_group(kind, d)
             for chi in enumerate_linear_characters(G):
                 if not chi.is_unit():
-                    assert weighted_sum_g(G, chi, 0).is_zero()
+                    assert not weighted_sum_g(G, chi, 0).terms
 
 
 class TestDegreeOne:
@@ -151,7 +151,8 @@ class TestDegreeOne:
         assert W.degree == 1 and W.order == 1
         table = enumerate_orbits(W, n)
         assert [(r.rep, r.size, r.stabilizer) for r in table.records] == \
-            [((j,), 1, tuple(k for k, g in enumerate(W) if apply_perm(g, (j,)) == (j,)))
+            [((j,), 1, tuple(k for k, g in enumerate(map(Permutation, W.images))
+                             if apply_perm(g, (j,)) == (j,)))
              for j in range(n + 1)]
         chi = unit_character(W)
         got = [(r.rep, r.tau_H, r.h_orbit_length, r.stabilizer_order, r.is_chi_orbit)
@@ -309,7 +310,7 @@ class TestReorderedGroup:
         assert len(on_copy) == len(on_w)
         reordered = 0
         for theta in on_copy:
-            [chi] = [c for c in on_w if c == theta]
+            [chi] = [c for c in on_w if same_character(c, theta)]
             reordered += theta.exponents != chi.exponents
             assert cycle_index(W, theta).render_text() == cycle_index(W, chi).render_text()
             assert weighted_sum_g(W, theta, n) == weighted_sum_g(W, chi, n)
@@ -326,7 +327,7 @@ class TestActionTable:
         point = tuple(range(10, 10 + d))  # distinct coordinates pin every row entry
         rows = action_table(G)
         assert len(rows) == G.order
-        for row, g in zip(rows, G):
+        for row, g in zip(rows, map(Permutation, G.images)):
             assert tuple([point[i] for i in row]) == apply_perm(g, point)
 
     @pytest.mark.parametrize("reordered", [False, True])
@@ -336,7 +337,7 @@ class TestActionTable:
         if reordered:
             W = PermGroup.from_elements(reversed(W.images))
         for rec in enumerate_orbits(W, n).records:
-            assert rec.stabilizer == tuple(k for k, g in enumerate(W)
+            assert rec.stabilizer == tuple(k for k, g in enumerate(map(Permutation, W.images))
                                            if apply_perm(g, rec.rep) == rec.rep)
 
 

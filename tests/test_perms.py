@@ -119,8 +119,8 @@ class TestClosure:
 
     def test_closure_is_idempotent(self, S3):
         again = PermGroup.from_elements(S3.images)
-        assert set(again) == set(S3)
-        assert group_closure(S3).order == S3.order
+        assert set(again.images) == set(S3.images)
+        assert group_closure(map(Permutation, S3.images)).order == S3.order
 
     def test_group_order_cap_boundary(self):
         gens = [perm_from_cycles("(1 2)", 3), perm_from_cycles("(1 2 3)", 3)]
@@ -157,7 +157,7 @@ class TestClosure:
         assert G.images == group_closure(G.generators, degree=4).images
 
     def test_identity_comes_first(self, S4):
-        assert next(iter(S4)).is_identity()
+        assert Permutation(S4.images[0]).is_identity()
 
     def test_deterministic_element_order(self):
         gens = [perm_from_cycles("(1 2)", 3), perm_from_cycles("(1 2 3)", 3)]
@@ -241,7 +241,7 @@ class TestNamedGroups:
             named_group("dihedral", 2)
 
     def test_element_orders_divide_group_order(self, A4):
-        for g in A4:
+        for g in map(Permutation, A4.images):
             assert A4.order % perm_order(g) == 0
 
 
@@ -251,7 +251,7 @@ class TestEmbeddings:
         p = direct_product_embed(s2, s2)
         assert p.degree == 4 and p.order == 4
         expected = {perm_from_cycles(t, 4) for t in ["", "(1 2)", "(3 4)", "(1 2)(3 4)"]}
-        assert set(p) == expected
+        assert set(map(Permutation, p.images)) == expected
 
     def test_trivial_times_trivial(self):
         t = named_group("cyclic", 1)
@@ -295,7 +295,7 @@ class TestEmbeddings:
         s2 = named_group("symmetric", 2)
         c3 = named_group("cyclic", 3)
         w = wreath_embed(s2, c3)
-        for g in w:
+        for g in map(Permutation, w.images):
             sigma, taus = decompose_wreath_element(g, 2, 3, s2, c3)
             assert sigma in c3 and all(t in s2 for t in taus)
             assert reconstruct_wreath_element(sigma, taus, 2, 3) == g
@@ -330,12 +330,12 @@ class TestEmbeddings:
 
     def test_unchecked_factors_are_permutations(self):
         V, W = named_group("symmetric", 3), named_group("symmetric", 2)
-        for g in wreath_embed(V, W):
+        for g in map(Permutation, wreath_embed(V, W).images):
             sigma, taus = decompose_wreath_element(g, 3, 2, V, W)
             for factor in (sigma, *taus):
                 assert Permutation(factor.images) == factor
         P = direct_product_embed(V, W)
-        for g in P:
+        for g in map(Permutation, P.images):
             sigma, tau = split_product_element(g, 3, 2)
             assert (Permutation(sigma.images), Permutation(tau.images)) == (sigma, tau)
             assert sigma in V and tau in W

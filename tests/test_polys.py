@@ -5,7 +5,7 @@ import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
-from cycindex import (Cyclotomic, LinearCharacter, MonomialPoly, PowerSumPoly,
+from cycindex import (Cyclotomic, LinearCharacter, MonomialPoly, Permutation, PowerSumPoly,
                       cycle_index, enumerate_linear_characters, is_symmetric,
                       named_group, plethysm_insert, psum_mul,
                       sign_character, specialize, unit_character, wreath_embed,
@@ -20,7 +20,7 @@ from oracles import (coefficient, cycle_type_from_cycles, elementary_symmetric,
 
 def sympy_poly(mono: MonomialPoly):
     """Convert to a sympy expression; only valid for rational coefficients."""
-    xs = sympy.symbols(f"x0:{mono.nvars}")
+    xs = sympy.symbols(f"x0:{mono.size}")
     expr = sympy.Integer(0)
     for exps, coeff in mono.terms.items():
         q = coeff.as_rational()
@@ -41,7 +41,7 @@ class TestCycleIndex:
     def test_s3_unit_by_direct_summation(self, S3):
         # oracle: sum chi(sigma) p^type over the six explicit elements
         counts = {}
-        for sigma in S3:
+        for sigma in map(Permutation, S3.images):
             t = cycle_type_from_cycles(sigma)
             counts[t] = counts.get(t, 0) + 1
         assert counts == {(3, 0, 0): 1, (1, 1, 0): 3, (0, 0, 1): 2}
@@ -94,7 +94,7 @@ class TestSpecialize:
                 if chi.is_unit():
                     assert coefficient(got, (d,)) == 1 and len(got.terms) == 1
                 else:
-                    assert got.is_zero()
+                    assert not got.terms
 
     def test_unit_specialization_against_sympy(self, S4):
         Z = cycle_index(S4, unit_character(S4))
@@ -207,7 +207,7 @@ class TestPowerSumAlgebra:
 
     def test_zero_annihilates_and_unit_is_neutral(self, S3):
         Z = cycle_index(S3, unit_character(S3))
-        assert psum_mul(Z, PowerSumPoly.zero(2)).is_zero()
+        assert not psum_mul(Z, PowerSumPoly.zero(2)).terms
         assert psum_mul(Z, PowerSumPoly.unit()) == Z
 
     def test_mul_commutes_and_associates(self, S3, C4):
@@ -222,7 +222,7 @@ class TestPowerSumAlgebra:
         zs = cycle_index(S3, unit_character(S3))
         zeps = cycle_index(S3, sign_character(S3))
         assert psum_sub(za, zs) == zeps
-        assert psum_sub(za, za).is_zero()
+        assert not psum_sub(za, za).terms
 
     def test_sub_weight_mismatch(self, S3, C4):
         with pytest.raises(ValueError):
@@ -289,7 +289,7 @@ class TestMonomialHelpers:
     def test_elementary_symmetric(self):
         e2 = elementary_symmetric(2, 2)
         assert e2.render_text() == "x0*x1 + x0*x2 + x1*x2"
-        assert elementary_symmetric(3, 1).is_zero()
+        assert not elementary_symmetric(3, 1).terms
         assert elementary_symmetric(1, 1).render_text() == "x0 + x1"
 
     def test_is_symmetric(self):

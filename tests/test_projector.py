@@ -5,7 +5,7 @@ from math import comb
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cycindex import (Cyclotomic, MonomialModule, PermGroup, build_projector,
+from cycindex import (Cyclotomic, MonomialModule, PermGroup, Permutation, build_projector,
                       check_annihilation, enumerate_linear_characters,
                       index_set_J, named_group, random_gamma_family,
                       sign_character, unit_character, verify_basis_prop)
@@ -16,8 +16,18 @@ from cycindex.cyclo import CyclotomicIntegers
 from cycindex.grammar import parse_character, parse_group
 from cycindex.projector import (SparseMatrix, _Packing, check_idempotent,
                                 rank_of_columns)
-from oracles import (apply_perm, entry, multiplication_matrix,
+from oracles import (apply_perm, entry, module_index, module_points, multiplication_matrix,
                      rank_over_cyclotomic_field, value)
+
+
+def projector_of(M, alpha):
+    """build_projector given the twist and transversal of alpha, as verify_basis_prop builds it."""
+    return build_projector(M, M.twist(alpha), M.orbit_transversal())
+
+
+def qualifying_set(M, alpha):
+    """I(M, alpha) as a set, read off the table of M.twist(alpha)."""
+    return set(M.qualifying_indices(M.twist(alpha)[1]))
 
 
 def entrywise_product(A, B):
@@ -48,17 +58,17 @@ class TestProjectorMatrix:
     def test_trivial_one_dimensional_case(self):
         s2 = named_group("symmetric", 2)
         M = MonomialModule(s2, 0)
-        A = build_projector(M, unit_character(s2))
+        A = projector_of(M, unit_character(s2))
         assert A.dim == 1 and entry(A, 0, 0) == 1
 
     def test_s2_sign_projects_onto_antisymmetric_line(self):
         # basis 00, 01, 10, 11: the sign projector is (v01 - v10)/2 on the middle block
         s2 = named_group("symmetric", 2)
         M = MonomialModule(s2, 1)
-        A = build_projector(M, sign_character(s2))
+        A = projector_of(M, sign_character(s2))
         half = Cyclotomic.from_rational(Fraction(1, 2))
-        i01, i10 = M.index((0, 1)), M.index((1, 0))
-        assert not A.cols[M.index((0, 0))] and not A.cols[M.index((1, 1))]
+        i01, i10 = module_index(M, (0, 1)), module_index(M, (1, 0))
+        assert not A.cols[module_index(M, (0, 0))] and not A.cols[module_index(M, (1, 1))]
         assert entry(A, i01, i01) == half and entry(A, i10, i01) == -half
         assert entry(A, i01, i10) == -half and entry(A, i10, i10) == half
         assert A.rank() == 1 and A.trace() == 1
@@ -66,13 +76,13 @@ class TestProjectorMatrix:
     def test_trivial_group_gives_identity(self):
         t = named_group("cyclic", 1)
         M = MonomialModule(t, 2)
-        A = build_projector(M, unit_character(t))
+        A = projector_of(M, unit_character(t))
         assert A.rank() == 3 and A.trace() == 3
 
     def test_idempotence(self, S3):
         M = MonomialModule(S3, 1)
         for chi in enumerate_linear_characters(S3):
-            A = build_projector(M, chi)
+            A = projector_of(M, chi)
             assert entrywise_idempotent(A) and check_idempotent(A)
 
     def test_dimension_cap(self, S4):
@@ -91,7 +101,7 @@ class TestProjectorMatrix:
 
 
 class TestPointMap:
-    """point_map rows and index, built on point codes, against apply_perm on point tuples."""
+    """point_map rows, built on point codes, against apply_perm on point tuples."""
 
     EXPRESSIONS = ("S(4)", "D(5)", "A(5)", "wreath(S(2),S(3))")
 
@@ -100,11 +110,11 @@ class TestPointMap:
         M = MonomialModule(G, n)
         points = list(iter_product(range(n + 1), repeat=G.degree))
         lex = {p: i for i, p in enumerate(points)}
-        assert M.points == points and len(M.point_map) == G.order
-        for g, row in zip(G, M.point_map):
+        assert module_points(M) == points and len(M.point_map) == G.order
+        for g, row in zip(map(Permutation, G.images), M.point_map):
             images = [apply_perm(g, p) for p in points]
             assert row == [lex[q] for q in images], g
-            assert [M.index(q) for q in images] == row, g
+            assert [module_index(M, q) for q in images] == row, g
 
     @pytest.mark.parametrize("reordered", [False, True])
     @pytest.mark.parametrize("n", [0, 1, 2])
@@ -124,8 +134,8 @@ class TestPointMap:
         # a bare weighted sum would read (0, 2) and (1,) as 2, the code of (1, 0)
         M = MonomialModule(named_group("symmetric", 2), 1)
         with pytest.raises(ValueError, match=r"is not a point of \[0,1\]\^2"):
-            M.index(point)
-        assert M.index((1, 0)) == 2
+            module_index(M, point)
+        assert module_index(M, (1, 0)) == 2
 
 
 class TestDefinitionOracle:
@@ -135,9 +145,9 @@ class TestDefinitionOracle:
     def _definition(M, alpha):
         G = M.group
         expected = {}
-        for gi, g in enumerate(G):
-            for c, point in enumerate(M.points):
-                r = M.index(apply_perm(g, point))
+        for gi, g in enumerate(map(Permutation, G.images)):
+            for c, point in enumerate(module_points(M)):
+                r = module_index(M, apply_perm(g, point))
                 gamma = (Cyclotomic.one() if M.gamma is None else
                          Cyclotomic.root_of_unity(M.gamma_order, M.gamma[(gi, c)]))
                 term = value(alpha, g) * gamma * Fraction(1, G.order)
@@ -154,7 +164,7 @@ class TestDefinitionOracle:
     def test_entries_match_the_definition(self):
         for G, M in self._modules():
             for alpha in enumerate_linear_characters(G):
-                A = build_projector(M, alpha)
+                A = projector_of(M, alpha)
                 expected = self._definition(M, alpha)
                 for r in range(M.dim):
                     for c in range(M.dim):
@@ -221,7 +231,7 @@ class TestPackedArithmetic:
         for G, M in modules:
             for chi in enumerate_linear_characters(G):
                 for alpha in (chi, _tampered(chi)):
-                    A = build_projector(M, alpha)
+                    A = projector_of(M, alpha)
                     verdict = check_idempotent(A)
                     assert verdict == entrywise_idempotent(A), (G, M.n, alpha)
                     if alpha is chi:
@@ -251,23 +261,23 @@ class TestAnnihilation:
         # d=3 points over 2 values: every tuple repeats a coordinate
         M = MonomialModule(S3, 1)
         eps = sign_character(S3)
-        A = build_projector(M, eps)
+        A = projector_of(M, eps)
         assert all(not col for col in A.cols)
         assert A.rank() == 0
         assert index_set_J(S3, eps, 1) == []
-        assert check_annihilation(M, eps, A=A)
+        assert check_annihilation(M, A, M.twist(eps), qualifying_set(M, eps))
 
     def test_c4_kills_constant_tuples(self, C4):
         chi = enumerate_linear_characters(C4)[1]
         M = MonomialModule(C4, 1)
-        A = build_projector(M, chi)
-        assert not A.cols[M.index((0, 0, 0, 0))]
-        assert not A.cols[M.index((1, 1, 1, 1))]
-        assert check_annihilation(M, chi, A=A)
+        A = projector_of(M, chi)
+        assert not A.cols[module_index(M, (0, 0, 0, 0))]
+        assert not A.cols[module_index(M, (1, 1, 1, 1))]
+        assert check_annihilation(M, A, M.twist(chi), qualifying_set(M, chi))
 
     def test_unit_character_excludes_nothing(self, S3):
         M = MonomialModule(S3, 1)
-        assert M.qualifying_indices(unit_character(S3)) == list(range(M.dim))
+        assert M.qualifying_indices(M.twist(unit_character(S3))[1]) == list(range(M.dim))
 
 
 class TestBasisReport:
@@ -406,7 +416,7 @@ class TestRank:
 class TestRandomGamma:
     def test_constant_family_is_valid(self, S3):
         M = MonomialModule(S3, 1, gamma=None)
-        assert M.qualifying_indices(unit_character(S3)) == list(range(M.dim))
+        assert M.qualifying_indices(M.twist(unit_character(S3))[1]) == list(range(M.dim))
 
     def test_seeded_families_pass_cocycle_validation(self):
         s2 = named_group("symmetric", 2)
@@ -420,9 +430,9 @@ class TestRandomGamma:
         s2 = named_group("symmetric", 2)
         for seed in range(20):
             M = random_gamma_family(s2, 1, seed=seed)
-            qualifying = M.qualifying_indices(unit_character(s2))
-            diag = {M.index((0, 0)), M.index((1, 1))}
-            if not diag <= set(qualifying):
+            qualifying = qualifying_set(M, unit_character(s2))
+            diag = {module_index(M, (0, 0)), module_index(M, (1, 1))}
+            if not diag <= qualifying:
                 break
         else:
             pytest.fail("no seed produced a nontrivial stabilizer character")
