@@ -19,8 +19,10 @@ compared in the power basis of ``CyclotomicIntegers``, which also serves zero
 tests, rank and trace; values become ``Cyclotomic`` only on output (``trace``).
 Rank uses division-free exact elimination (columns are rescaled by pivots,
 which preserves rank over the field of fractions).  It pivots on the last
-nonzero row because each kernel column v_rep - zeta^k v_i then leads on its
-own i > rep, so the kernel family is already triangular and costs no product.
+nonzero row, so the kernel family v_rep - zeta^k v_i (each column leading on
+its own i > rep) and A's representative columns (on disjoint orbits) cost no
+product.  A proven kernel step makes A[:, i] = zeta^-k A[:, rep], so A's rank
+is eliminated over its representative columns and the unproven steps' columns.
 """
 
 from __future__ import annotations
@@ -232,9 +234,6 @@ class SparseMatrix:
         pk = self.packing
         return pk.equal(pk.fold(self.packed[j] << (k * pk.B)), self.packed[i], pk.orbit_of[i])
 
-    def rank(self) -> int:
-        return rank_of_columns(self.cols, self.ring)
-
 
 def rank_of_columns(columns: list[Column], ring: CyclotomicIntegers) -> int:
     """Exact rank by division-free elimination; pivot on the last nonzero row."""
@@ -368,12 +367,12 @@ def verify_basis_prop(M: MonomialModule, alpha: LinearCharacter) -> BasisReport:
             if i != rep:
                 yield rep, i, weights[via[i]][rep]
 
-    kernel_ok = (not any(A.cols[i] for i in J0)
-                 and all(A.rotated_equals(i, k, rep) for rep, i, k in steps()))
+    unproven = [i for rep, i, k in steps() if not A.rotated_equals(i, k, rep)]
+    kernel_ok = not unproven and not any(A.cols[i] for i in J0)
     A.release()
 
     trace = A.trace()
-    rank = A.rank()
+    rank = rank_of_columns([A.cols[i] for i in reps + unproven], ring)
     independent = rank_of_columns([A.cols[j] for j in J], ring) == len(J)
     if kernel_ok:
         kernel_cols = [{rep: ring.one, i: ring.scale(ring.root(k), -1)} for rep, i, k in steps()]

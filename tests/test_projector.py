@@ -71,13 +71,13 @@ class TestProjectorMatrix:
         assert not A.cols[module_index(M, (0, 0))] and not A.cols[module_index(M, (1, 1))]
         assert entry(A, i01, i01) == half and entry(A, i10, i01) == -half
         assert entry(A, i01, i10) == -half and entry(A, i10, i10) == half
-        assert A.rank() == 1 and A.trace() == 1
+        assert rank_of_columns(A.cols, A.ring) == 1 and A.trace() == 1
 
     def test_trivial_group_gives_identity(self):
         t = named_group("cyclic", 1)
         M = MonomialModule(t, 2)
         A = projector_of(M, unit_character(t))
-        assert A.rank() == 3 and A.trace() == 3
+        assert rank_of_columns(A.cols, A.ring) == 3 and A.trace() == 3
 
     def test_idempotence(self, S3):
         M = MonomialModule(S3, 1)
@@ -263,7 +263,7 @@ class TestAnnihilation:
         eps = sign_character(S3)
         A = projector_of(M, eps)
         assert all(not col for col in A.cols)
-        assert A.rank() == 0
+        assert rank_of_columns(A.cols, A.ring) == 0
         assert index_set_J(S3, eps, 1) == []
         assert check_annihilation(M, A, M.twist(eps), qualifying_set(M, eps))
 
@@ -396,9 +396,10 @@ class TestRank:
 
     @pytest.mark.parametrize("expr, selector", [("S(5)", "sign"), ("D(5)", "index:1"),
                                                 ("C(4)", "index:1"), ("S(4)", "unit")])
-    def test_kernel_family_and_J_columns_make_no_product(self, monkeypatch, expr, selector):
-        """The rank calls of verify_basis_prop are A, the J columns and the kernel
-        family (1.2.4)-(1.2.5); under the last-row pivot only A's elimination multiplies."""
+    def test_no_rank_call_of_verify_basis_makes_a_product(self, monkeypatch, expr, selector):
+        """The rank calls of verify_basis_prop are A over its representative columns,
+        the J columns and the kernel family (1.2.4)-(1.2.5); under the last-row pivot
+        none of the three eliminations multiplies on a genuine character."""
         products = []
 
         def counted(columns, ring):
@@ -410,7 +411,34 @@ class TestRank:
         spec = parse_group(expr)
         rep = verify_basis_prop(MonomialModule(spec.group, 2), parse_character(selector, spec))
         assert rep.ok
-        assert len(products) == 3 and products[1:] == [0, 0], products
+        assert products == [0, 0, 0], products
+
+
+SPANNING_CASES = [("S(3)", 1), ("S(3)", 2), ("D(4)", 1), ("A(4)", 1), ("C(4)", 1),
+                  ("S(4)", 1), ("C(5)", 1)]
+
+
+class TestRankOverSpanningColumns:
+    def test_rank_is_the_rank_of_every_column_of_a(self):
+        """verify_basis_prop eliminates A over the representative columns plus those
+        of the unproven kernel steps; that is A's rank for every character and its
+        non-homomorphism copy ``_tampered``, untwisted and on ``random_gamma_family``
+        seeds 0-2, and on small cases the field oracle agrees."""
+        broken = 0
+        for expr, n in SPANNING_CASES:
+            G = parse_group(expr).group
+            chars = enumerate_linear_characters(G)
+            tables = chars + [_tampered(chi) for chi in chars]
+            for M in [MonomialModule(G, n)] + [random_gamma_family(G, n, s) for s in range(3)]:
+                for alpha in tables:
+                    rep = verify_basis_prop(M, alpha)
+                    A = projector_of(M, alpha)
+                    full = rank_of_columns(A.cols, A.ring)
+                    assert rep.rank == full, (expr, n, alpha.exponents)
+                    if M.dim * A.ring.degree <= 32:
+                        assert full == rank_over_cyclotomic_field(A.cols, A.ring.m)
+                    broken += not rep.kernel_ok and rep.rank != rep.J_size
+        assert broken  # some table needs the columns of its unproven steps
 
 
 class TestRandomGamma:
