@@ -131,9 +131,6 @@ class Cyclotomic:
             return NotImplemented
         if self.conductor == 1 and other.conductor == 1:
             return Cyclotomic(1, (self.coeffs[0] * other.coeffs[0],))
-        if self.conductor == 1 or other.conductor == 1:
-            q, v = (self.coeffs[0], other) if self.conductor == 1 else (other.coeffs[0], self)
-            return Cyclotomic.over(v.conductor, [q * c for c in v.coeffs])
         M = lcm(self.conductor, other.conductor)
         return Cyclotomic.over(M, cyclotomic_ring(M).mul(self._lift(M), other._lift(M)))
 
@@ -218,8 +215,8 @@ class CyclotomicIntegers:
     ``add``, ``sub``, ``mul``, ``scale`` (by an int) and ``nonzero`` are plain
     functions, so loops can bind them to locals.  ``mul`` and ``combine`` also
     take Fraction coefficients: that is how ``Cyclotomic`` multiplies and lifts.
-    ``mul`` is ``operator.mul`` at phi(m) = 1, a closed form in zeta^2 = h0 + h1 zeta at
-    phi(m) = 2 (m = 3, 4, 6), and above that a schoolbook product reduced by ``powers``.
+    ``mul`` is ``operator.mul`` at phi(m) = 1 and above that a schoolbook product
+    reduced by ``powers``.
     """
 
     def __init__(self, m: int):
@@ -250,28 +247,20 @@ class CyclotomicIntegers:
         def sub(a, b):
             return tuple(map(operator.sub, a, b))
 
-        if deg == 2:
-            h0, h1 = self.powers[2]
+        high = [self.powers[j % m] for j in range(deg, 2 * deg - 1)]
 
-            def mul(a, b):
-                (a0, a1), (b0, b1) = a, b
-                top = a1 * b1
-                return (a0 * b0 + top * h0, a0 * b1 + a1 * b0 + top * h1)
-        else:
-            high = [self.powers[j % m] for j in range(deg, 2 * deg - 1)]
-
-            def mul(a, b):
-                prod = [0] * (2 * deg - 1)
-                for i, x in enumerate(a):
-                    if x:
-                        for j, y in enumerate(b):
-                            prod[i + j] += x * y
-                out = prod[:deg]
-                for c, power in zip(prod[deg:], high):
-                    if c:
-                        for t, w in enumerate(power):
-                            out[t] += c * w
-                return tuple(out)
+        def mul(a, b):
+            prod = [0] * (2 * deg - 1)
+            for i, x in enumerate(a):
+                if x:
+                    for j, y in enumerate(b):
+                        prod[i + j] += x * y
+            out = prod[:deg]
+            for c, power in zip(prod[deg:], high):
+                if c:
+                    for t, w in enumerate(power):
+                        out[t] += c * w
+            return tuple(out)
 
         def scale(a, k):
             return tuple(k * x for x in a)

@@ -12,11 +12,13 @@ A column is supported on the orbit of its index and packs into one int
 B (t 2m + k), B = bitlen(|G|^2) + 1.  The counts of a column of the square
 sum to |G|^2, so no slot carries, and the stride 2m holds the linear
 convolution of two entries; ``(S & mask) + ((S >> m B) & mask)`` then folds
-x^m = 1 into every entry.  Idempotence, annihilation and kernel membership
-compare packed ints.  Equality in Z[zeta_m] is equality modulo Phi_m
-(1 + x + x^2 = 0 when m = 3), so where two ints differ their entries are
-compared in the power basis of ``CyclotomicIntegers``, which also serves zero
-tests, rank and trace; values become ``Cyclotomic`` only on output (``trace``).
+x^m = 1 into every entry.  ``SparseMatrix`` holds A once, as these packed
+columns and their layout.  Idempotence, annihilation and kernel membership
+compare packed ints, and the trace reads each column's diagonal slot.
+Equality in Z[zeta_m] is equality modulo Phi_m (1 + x + x^2 = 0 when m = 3),
+so where two ints differ, and wherever a zero test or the rank reads a column,
+it is reduced to the power basis of ``CyclotomicIntegers`` at that point;
+values become ``Cyclotomic`` only on output (``trace``).
 Rank uses division-free exact elimination (columns are rescaled by pivots,
 which preserves rank over the field of fractions).  It pivots on the last
 nonzero row, so the kernel family v_rep - zeta^k v_i (each column leading on
@@ -129,40 +131,46 @@ class MonomialModule:
         return [i for i in range(self.dim)
                 if not any(w[i] for pm, w in zip(self.point_map, weights) if pm[i] == i)]
 
-    def orbit_transversal(self) -> tuple[list[int], dict[int, int], dict[int, int]]:
-        """Lex-min orbit reps, a rep index per point, and a transversal element per point."""
-        reps: list[int] = []
-        rep_of: dict[int, int] = {}
+    def orbit_transversal(self) -> tuple[list[list[int]], dict[int, int]]:
+        """The orbits, each ascending and so led by its lex-min representative, and
+        a transversal element per point."""
+        orbits: list[list[int]] = []
         via: dict[int, int] = {}  # point -> group element index with g . rep = point
         for i in range(self.dim):
-            if i not in rep_of:
-                reps.append(i)
+            if i not in via:
+                orbit = []
                 for gi, pm in enumerate(self.point_map):
                     j = pm[i]
-                    if j not in rep_of:
-                        rep_of[j], via[j] = i, gi
-        return reps, rep_of, via
+                    if j not in via:
+                        via[j] = gi
+                        orbit.append(j)
+                orbits.append(sorted(orbit))
+        return orbits, via
 
 
-class _Packing:
-    """Orbit-local layout of packed group-ring columns over Z[C_m] (module docstring)."""
+class SparseMatrix:
+    """|G| a_alpha as packed group-ring columns over Z[C_m], with the denominator |G|.
 
-    def __init__(self, rep_of: dict[int, int], dim: int, order: int,
-                 ring: CyclotomicIntegers):
+    ``packed[j]`` is column j in the orbit-local layout of the module docstring;
+    ``column(j)`` reduces it to the power basis of Z[zeta_m] with zeros dropped.
+    """
+
+    def __init__(self, orbits: list[list[int]], order: int, ring: CyclotomicIntegers):
         m = ring.m
         self.ring = ring
+        self.denominator = order
         self.B = B = (order * order).bit_length() + 1
         self.stride = 2 * m * B
         self.entry_mask = (1 << (m * B)) - 1
-        orbits: dict[int, list[int]] = {}
-        self.offset = []  # point -> bit offset of its orbit-local row
-        for i in range(dim):
-            orbit = orbits.setdefault(rep_of[i], [])
-            self.offset.append(len(orbit) * self.stride)
-            orbit.append(i)
-        self.orbit_of = [orbits[rep_of[i]] for i in range(dim)]
-        rows = max(map(len, orbits.values()), default=0)
+        self.dim = sum(map(len, orbits))
+        self.offset = [0] * self.dim  # point -> bit offset of its orbit-local row
+        self.orbit_of: list[list[int]] = [[]] * self.dim
+        for orbit in orbits:
+            for t, i in enumerate(orbit):
+                self.offset[i], self.orbit_of[i] = t * self.stride, orbit
+        rows = max(map(len, orbits), default=0)
         self.fold_mask = sum(self.entry_mask << (t * self.stride) for t in range(rows))
+        self.packed = [0] * self.dim
         slot = (1 << B) - 1
         seen: dict[int, object] = {}  # packed entry -> its value; equal entries share one
 
@@ -196,43 +204,26 @@ class _Packing:
         """Equality in Z[zeta_m]: as ints, or else entry by entry modulo Phi_m."""
         return P == Q or self.reduce(P, orbit) == self.reduce(Q, orbit)
 
-
-class SparseMatrix:
-    """|G| a_alpha as packed group-ring columns, with the denominator |G|.
-
-    ``packed[j]`` is column j in the layout of ``packing``; ``cols`` holds the
-    same columns in the power basis of Z[zeta_m] with zeros dropped, for rank,
-    trace and output.  ``release()`` drops the packed columns.
-    """
-
-    def __init__(self, dim: int, packing: _Packing, packed: list[int], denominator: int):
-        self.dim = dim
-        self.ring = packing.ring
-        self.packing = packing
-        self.packed = packed
-        self.denominator = denominator
-        self.cols = [packing.reduce(P, orbit) for P, orbit in zip(packed, packing.orbit_of)]
-
-    def release(self) -> None:
-        self.packed = self.packing = None
+    def column(self, j: int) -> Column:
+        return self.reduce(self.packed[j], self.orbit_of[j])
 
     @property
     def nnz(self) -> int:
-        return sum(len(c) for c in self.cols)
+        return sum(len(self.column(j)) for j in range(self.dim))
 
     def trace(self) -> Cyclotomic:
-        ring = self.ring
+        ring, value, emask = self.ring, self.value, self.entry_mask
         total = ring.zero
-        for i, col in enumerate(self.cols):
-            v = col.get(i)
-            if v is not None:
-                total = ring.add(total, v)
+        for P, off in zip(self.packed, self.offset):
+            e = (P >> off) & emask
+            if e:
+                total = ring.add(total, value(e))
         return ring.to_cyclotomic(total, self.denominator)
 
     def rotated_equals(self, j: int, k: int, i: int) -> bool:
         """zeta^k A[:, j] == A[:, i] in Z[zeta_m]; j and i share an orbit."""
-        pk = self.packing
-        return pk.equal(pk.fold(self.packed[j] << (k * pk.B)), self.packed[i], pk.orbit_of[i])
+        return self.equal(self.fold(self.packed[j] << (k * self.B)), self.packed[i],
+                          self.orbit_of[i])
 
 
 def rank_of_columns(columns: list[Column], ring: CyclotomicIntegers) -> int:
@@ -260,29 +251,27 @@ def rank_of_columns(columns: list[Column], ring: CyclotomicIntegers) -> int:
 
 def build_projector(M: MonomialModule,
                     twist: tuple[CyclotomicIntegers, list[list[int]]],
-                    transversal: tuple[list[int], dict[int, int], dict[int, int]]
-                    ) -> SparseMatrix:
+                    transversal: tuple[list[list[int]], dict[int, int]]) -> SparseMatrix:
     """a_alpha = |G|^-1 sum over g of alpha(g) g, as a matrix in the v_i basis.
 
     The columns hold |G| a_alpha, whose entries are sums of roots of unity.
     ``twist`` and ``transversal`` are ``M.twist(alpha)`` and ``M.orbit_transversal()``.
     """
     ring, weights = twist
-    _, rep_of, _ = transversal
-    packing = _Packing(rep_of, M.dim, M.group.order, ring)
-    B, offset = packing.B, packing.offset
-    packed = [0] * M.dim
+    A = SparseMatrix(transversal[0], M.group.order, ring)
+    B, offset, packed = A.B, A.offset, A.packed
     for pm, w in zip(M.point_map, weights):
         packed = [P + (1 << (offset[row] + k * B)) for P, row, k in zip(packed, pm, w)]
-    return SparseMatrix(M.dim, packing, packed, M.group.order)
+    A.packed = packed
+    return A
 
 
 def check_idempotent(A: SparseMatrix) -> bool:
     """A A = |G| A: column j of A A is the sum over l of column l times entry
     (l, j), one big-int product per term, folded and compared with |G| A[:, j]."""
-    pk, packed, scale = A.packing, A.packed, A.denominator
-    emask, stride = pk.entry_mask, pk.stride
-    for Pj, orbit in zip(packed, pk.orbit_of):
+    packed, scale = A.packed, A.denominator
+    emask, stride = A.entry_mask, A.stride
+    for Pj, orbit in zip(packed, A.orbit_of):
         S, rest = 0, Pj
         for l in orbit:
             if not rest:
@@ -291,7 +280,7 @@ def check_idempotent(A: SparseMatrix) -> bool:
             if e:
                 S += packed[l] * e
             rest >>= stride
-        if not pk.equal(pk.fold(S), scale * Pj, orbit):
+        if not A.equal(A.fold(S), scale * Pj, orbit):
             return False
     return True
 
@@ -311,7 +300,7 @@ def check_annihilation(M: MonomialModule, A: SparseMatrix,
     """
     _, weights = twist
     for i in range(M.dim):
-        if i not in qualifying and A.cols[i]:
+        if i not in qualifying and A.column(i):
             return False
     for g in M.group.generators:
         gi = M.group.index(g)
@@ -351,7 +340,7 @@ def verify_basis_prop(M: MonomialModule, alpha: LinearCharacter) -> BasisReport:
     ring, weights = twist
     qualifying = set(M.qualifying_indices(weights))
     transversal = M.orbit_transversal()
-    reps, rep_of, via = transversal
+    orbits, via = transversal
     A = build_projector(M, twist, transversal)
     idempotent = check_idempotent(A)
     annihilation_ok = check_annihilation(M, A, twist, qualifying)
@@ -359,21 +348,20 @@ def verify_basis_prop(M: MonomialModule, alpha: LinearCharacter) -> BasisReport:
     # families (1.2.4) and (1.2.5): differences v_rep - zeta^k v_i along the
     # transversal plus the excluded representatives; they must lie in
     # ker a_alpha and span dim - |J|.  A v = 0 reads A[:, rep] = zeta^k A[:, i].
+    reps = [orbit[0] for orbit in orbits]
     J = [i for i in reps if i in qualifying]
     J0 = [i for i in reps if i not in qualifying]
     def steps():
-        for i in range(M.dim):
-            rep = rep_of[i]
-            if i != rep:
+        for rep, *rest in orbits:
+            for i in rest:
                 yield rep, i, weights[via[i]][rep]
 
     unproven = [i for rep, i, k in steps() if not A.rotated_equals(i, k, rep)]
-    kernel_ok = not unproven and not any(A.cols[i] for i in J0)
-    A.release()
+    kernel_ok = not unproven and not any(A.column(i) for i in J0)
 
     trace = A.trace()
-    rank = rank_of_columns([A.cols[i] for i in reps + unproven], ring)
-    independent = rank_of_columns([A.cols[j] for j in J], ring) == len(J)
+    rank = rank_of_columns([A.column(i) for i in reps + unproven], ring)
+    independent = rank_of_columns([A.column(j) for j in J], ring) == len(J)
     if kernel_ok:
         kernel_cols = [{rep: ring.one, i: ring.scale(ring.root(k), -1)} for rep, i, k in steps()]
         kernel_cols += [{i: ring.one} for i in J0]
@@ -400,10 +388,10 @@ def random_gamma_family(W: PermGroup, n: int, seed: int,
     rng = random.Random(seed)
     base = MonomialModule(W, n, caps=caps)
     transversal_order = 12
-    reps, rep_of, via = base.orbit_transversal()
+    orbits, via = base.orbit_transversal()
     choices = []
-    for rep in reps:
-        members = [i for i in range(base.dim) if rep_of[i] == rep]
+    for members in orbits:
+        rep = members[0]
         stab = PermGroup.from_elements(g for g, pm in zip(W.images, base.point_map)
                                        if pm[rep] == rep)
         stab_chars = enumerate_linear_characters(stab, caps=caps)

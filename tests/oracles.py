@@ -206,10 +206,15 @@ def module_index(M, point):
     return sum(p * w for p, w in zip(point, M.weights))
 
 
+def columns(A):
+    """Every column of the ``SparseMatrix`` A in the power basis of Z[zeta_m], zeros dropped."""
+    return [A.column(j) for j in range(A.dim)]
+
+
 def entry(A, row, col):
     """Entry (row, col) of the projector held by the ``SparseMatrix`` A, in Q(zeta_m)."""
     ring = A.ring
-    return ring.to_cyclotomic(A.cols[col].get(row, ring.zero), A.denominator)
+    return ring.to_cyclotomic(A.column(col).get(row, ring.zero), A.denominator)
 
 
 def multiplication_matrix(a, m):

@@ -136,8 +136,8 @@ class TestCyclotomicIntegers:
 
     @pytest.mark.parametrize("m", [3, 4, 6])
     def test_degree_two_mul_matches_sympy_remainder(self, m):
-        """The closed-form product of phi(m) = 2 on ints and on the Fraction lifts
-        that Cyclotomic multiplies, with a zero in each slot; ints stay ints."""
+        """The product at phi(m) = 2 on ints and on the Fraction lifts that
+        Cyclotomic multiplies, with a zero in each slot; ints stay ints."""
         R = CyclotomicIntegers(m)
         assert R.degree == 2
         values = [0, 1, -2, Fraction(1, 2), Fraction(-5, 3)]

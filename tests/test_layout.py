@@ -27,7 +27,6 @@ from cycindex import cli, cyclo
 SRC = Path(cycindex.__file__).resolve().parent
 
 TRACER = "read by perfbench/tracer.py"
-# both branches of mul (phi(m) = 2 and above) share one key
 ELIMINATION = ("merges columns in rank_of_columns; on a genuine character every column "
                "set passed to it has distinct last rows, so only the broken tables of "
                "tests/test_projector.py reach it")

@@ -14,10 +14,9 @@ from cycindex.caps import CapExceeded, Caps
 from cycindex.cli import _tampered
 from cycindex.cyclo import CyclotomicIntegers
 from cycindex.grammar import parse_character, parse_group
-from cycindex.projector import (SparseMatrix, _Packing, check_idempotent,
-                                rank_of_columns)
-from oracles import (apply_perm, entry, module_index, module_points, multiplication_matrix,
-                     rank_over_cyclotomic_field, value)
+from cycindex.projector import SparseMatrix, check_idempotent, rank_of_columns
+from oracles import (apply_perm, columns, entry, module_index, module_points,
+                     multiplication_matrix, rank_over_cyclotomic_field, value)
 
 
 def projector_of(M, alpha):
@@ -34,10 +33,10 @@ def entrywise_product(A, B):
     """Columns of A B over Z[zeta_m], entry by entry in the power basis (denominators apart)."""
     add, mul, nonzero = A.ring.add, A.ring.mul, A.ring.nonzero
     product = []
-    for vector in B.cols:
+    for vector in columns(B):
         out = {}
         for col_idx, coeff in vector.items():
-            for row, value in A.cols[col_idx].items():
+            for row, value in A.column(col_idx).items():
                 prev = out.get(row)
                 term = mul(coeff, value)
                 out[row] = term if prev is None else add(prev, term)
@@ -48,7 +47,7 @@ def entrywise_product(A, B):
 def entrywise_idempotent(A):
     """Oracle for check_idempotent: (cols / s)^2 == cols / s, i.e. cols^2 == s cols."""
     scale, s = A.ring.scale, A.denominator
-    for a, b in zip(entrywise_product(A, A), A.cols):
+    for a, b in zip(entrywise_product(A, A), columns(A)):
         if a.keys() != b.keys() or any(a[r] != scale(b[r], s) for r in a):
             return False
     return True
@@ -68,16 +67,16 @@ class TestProjectorMatrix:
         A = projector_of(M, sign_character(s2))
         half = Cyclotomic.from_rational(Fraction(1, 2))
         i01, i10 = module_index(M, (0, 1)), module_index(M, (1, 0))
-        assert not A.cols[module_index(M, (0, 0))] and not A.cols[module_index(M, (1, 1))]
+        assert not A.column(module_index(M, (0, 0))) and not A.column(module_index(M, (1, 1)))
         assert entry(A, i01, i01) == half and entry(A, i10, i01) == -half
         assert entry(A, i01, i10) == -half and entry(A, i10, i10) == half
-        assert rank_of_columns(A.cols, A.ring) == 1 and A.trace() == 1
+        assert rank_of_columns(columns(A), A.ring) == 1 and A.trace() == 1
 
     def test_trivial_group_gives_identity(self):
         t = named_group("cyclic", 1)
         M = MonomialModule(t, 2)
         A = projector_of(M, unit_character(t))
-        assert rank_of_columns(A.cols, A.ring) == 3 and A.trace() == 3
+        assert rank_of_columns(columns(A), A.ring) == 3 and A.trace() == 3
 
     def test_idempotence(self, S3):
         M = MonomialModule(S3, 1)
@@ -177,7 +176,8 @@ class TestPackedArithmetic:
 
     @staticmethod
     def _packing(m, rows=1, order=4):
-        return _Packing({i: 0 for i in range(rows)}, rows, order, CyclotomicIntegers(m))
+        """An empty matrix whose columns share one orbit of ``rows`` rows."""
+        return SparseMatrix([list(range(rows))], order, CyclotomicIntegers(m))
 
     @staticmethod
     def _pack(pk, *rows):
@@ -214,12 +214,14 @@ class TestPackedArithmetic:
 
     def test_idempotence_falls_back_to_the_field(self):
         # 1 + x + x^2 is 0 in Z[zeta_3]: its square 3(1 + x + x^2) differs as an
-        # int but is 0 too, so the 1x1 matrix is idempotent; 1 + x is not
-        pk = self._packing(3, order=3)
-        zero = SparseMatrix(1, pk, [self._pack(pk, [1, 1, 1])], 1)
-        assert zero.cols == [{}] and check_idempotent(zero)
-        pk = self._packing(3, order=3)
-        assert not check_idempotent(SparseMatrix(1, pk, [self._pack(pk, [1, 1, 0])], 1))
+        # int from 2(1 + x + x^2) but is 0 too, so the 1x1 matrix is idempotent
+        # with denominator 2; 1 + x is not
+        zero = self._packing(3, order=2)
+        zero.packed = [self._pack(zero, [1, 1, 1])]
+        assert zero.column(0) == {} and check_idempotent(zero)
+        A = self._packing(3, order=2)
+        A.packed = [self._pack(A, [1, 1, 0])]
+        assert not check_idempotent(A)
 
     def test_check_idempotent_matches_the_entrywise_oracle(self):
         groups = [named_group("symmetric", 3), named_group("cyclic", 4),
@@ -262,8 +264,8 @@ class TestAnnihilation:
         M = MonomialModule(S3, 1)
         eps = sign_character(S3)
         A = projector_of(M, eps)
-        assert all(not col for col in A.cols)
-        assert rank_of_columns(A.cols, A.ring) == 0
+        assert all(not col for col in columns(A))
+        assert rank_of_columns(columns(A), A.ring) == 0
         assert index_set_J(S3, eps, 1) == []
         assert check_annihilation(M, A, M.twist(eps), qualifying_set(M, eps))
 
@@ -271,8 +273,8 @@ class TestAnnihilation:
         chi = enumerate_linear_characters(C4)[1]
         M = MonomialModule(C4, 1)
         A = projector_of(M, chi)
-        assert not A.cols[module_index(M, (0, 0, 0, 0))]
-        assert not A.cols[module_index(M, (1, 1, 1, 1))]
+        assert not A.column(module_index(M, (0, 0, 0, 0)))
+        assert not A.column(module_index(M, (1, 1, 1, 1)))
         assert check_annihilation(M, A, M.twist(chi), qualifying_set(M, chi))
 
     def test_unit_character_excludes_nothing(self, S3):
@@ -423,7 +425,8 @@ class TestRankOverSpanningColumns:
         """verify_basis_prop eliminates A over the representative columns plus those
         of the unproven kernel steps; that is A's rank for every character and its
         non-homomorphism copy ``_tampered``, untwisted and on ``random_gamma_family``
-        seeds 0-2, and on small cases the field oracle agrees."""
+        seeds 0-2, and on small cases the field oracle agrees.  The trace, read off
+        the packed diagonal slots, is the sum of the diagonal entries."""
         broken = 0
         for expr, n in SPANNING_CASES:
             G = parse_group(expr).group
@@ -433,10 +436,12 @@ class TestRankOverSpanningColumns:
                 for alpha in tables:
                     rep = verify_basis_prop(M, alpha)
                     A = projector_of(M, alpha)
-                    full = rank_of_columns(A.cols, A.ring)
+                    full = rank_of_columns(columns(A), A.ring)
                     assert rep.rank == full, (expr, n, alpha.exponents)
+                    assert A.trace() == sum((entry(A, i, i) for i in range(M.dim)),
+                                            Cyclotomic.zero()), (expr, n, alpha.exponents)
                     if M.dim * A.ring.degree <= 32:
-                        assert full == rank_over_cyclotomic_field(A.cols, A.ring.m)
+                        assert full == rank_over_cyclotomic_field(columns(A), A.ring.m)
                     broken += not rep.kernel_ok and rep.rank != rep.J_size
         assert broken  # some table needs the columns of its unproven steps
 
