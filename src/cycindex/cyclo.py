@@ -3,9 +3,10 @@
 Values are kept in the power basis 1, zeta, ..., zeta^(phi(m)-1).  Reduction
 modulo Phi_m lives only in ``CyclotomicIntegers``, in its table of the powers
 of zeta and its product; ``Cyclotomic`` is the field layer over one cached ring
-per conductor.  Rational values are demoted to conductor 1, so the common
-all-rational case runs on plain Fractions.  ``add_at_conductors`` is the one rule
-for the conductor of a sum, run on Fractions by ``Cyclotomic`` and on ints by ``polys``.
+per conductor, over one int denominator.  Rational values are demoted to
+conductor 1, where the ring is plain ints; ``Fraction`` only reads and prints
+values.  ``add_at_conductors`` is the one rule for the conductor of a sum of
+ring elements, used by ``Cyclotomic`` and by ``polys``.
 """
 
 from __future__ import annotations
@@ -53,60 +54,58 @@ def _poly_divide_exact(num: list[int], den: tuple[int, ...]) -> list[int]:
 
 
 class Cyclotomic:
-    """An exact element of Q(zeta_m), with Fraction coefficients.
+    """num / den in Q(zeta_m): num in ``cyclotomic_ring(m)``, den > 0, gcd divided out.
 
-    A sum (``add_at_conductors``) or a product lives at the lcm of its operands'
+    A rational value is demoted to conductor 1, num an int.  A sum
+    (``add_at_conductors``) or a product lives at the lcm of its operands'
     conductors and is demoted only to conductor 1, so equal values can print at
     different conductors.  Lifts, products and roots come from ``cyclotomic_ring``.
     """
 
-    __slots__ = ("conductor", "coeffs")
+    __slots__ = ("conductor", "num", "den")
 
-    def __init__(self, conductor: int, coeffs: tuple[Fraction, ...]):
-        # assumes coeffs already reduced mod Phi_m; use the constructors below
-        self.conductor = conductor
-        self.coeffs = coeffs
+    def __init__(self, conductor: int, num, den: int = 1):
+        if conductor != 1 and not any(num[1:]):
+            conductor, num = 1, num[0]
+        g = gcd(num, den) if conductor == 1 else gcd(*num, den)
+        if g != 1:
+            num = num // g if conductor == 1 else tuple([c // g for c in num])
+            den //= g
+        self.conductor, self.num, self.den = conductor, num, den
 
     @staticmethod
     def from_rational(q: int | Fraction) -> "Cyclotomic":
-        return Cyclotomic(1, (Fraction(q),))
+        return Cyclotomic(1, q.numerator, q.denominator)
 
     @staticmethod
     def zero() -> "Cyclotomic":
-        return Cyclotomic(1, (Fraction(0),))
+        return Cyclotomic(1, 0)
 
     @staticmethod
     def one() -> "Cyclotomic":
-        return Cyclotomic(1, (Fraction(1),))
+        return Cyclotomic(1, 1)
 
     @staticmethod
     def root_of_unity(m: int, k: int) -> "Cyclotomic":
         """zeta_m^k, stored at the minimal conductor m/gcd(k, m)."""
-        return Cyclotomic.over(*root_at_conductor(m, k))
+        return Cyclotomic(*root_at_conductor(m, k))
 
-    @staticmethod
-    def over(conductor: int, value, denominator: int = 1) -> "Cyclotomic":
-        """value / denominator, value as ``add_at_conductors`` takes it; rational tuples go to 1."""
-        if conductor == 1 or not any(value[1:]):
-            return Cyclotomic(1, (Fraction(value if conductor == 1 else value[0], denominator),))
-        return Cyclotomic(conductor, tuple([Fraction(c, denominator) for c in value]))
-
-    def _lift(self, M: int) -> tuple[Fraction, ...]:
-        """Coefficients of this value written in Q(zeta_M), m | M."""
+    def _lift(self, M: int):
+        """The numerator written in Z[zeta_M], m | M."""
         if M == self.conductor:
-            return self.coeffs
-        return cyclotomic_ring(M).combine(self.coeffs, M // self.conductor)
+            return self.num
+        return cyclotomic_ring(M).combine(self.num if self.conductor > 1 else (self.num,),
+                                          M // self.conductor)
+
+    def _scaled(self, k: int):
+        """The numerator times the int k."""
+        return cyclotomic_ring(self.conductor).scale(self.num, k)
 
     def is_rational(self) -> bool:
         return self.conductor == 1
 
-    def as_rational(self) -> Fraction:
-        if self.conductor != 1:
-            raise ValueError(f"{self!r} is not rational")
-        return self.coeffs[0]
-
     def is_zero(self) -> bool:
-        return self.conductor == 1 and self.coeffs[0] == 0
+        return self.conductor == 1 and self.num == 0
 
     def __bool__(self):
         return not self.is_zero()
@@ -115,24 +114,23 @@ class Cyclotomic:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        a, b = self.coeffs, other.coeffs
-        return Cyclotomic.over(*add_at_conductors(
-            self.conductor, a[0] if self.conductor == 1 else a,
-            other.conductor, b[0] if other.conductor == 1 else b))
+        den = lcm(self.den, other.den)
+        return Cyclotomic(*add_at_conductors(
+            self.conductor, self._scaled(den // self.den),
+            other.conductor, other._scaled(den // other.den)), den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Cyclotomic(self.conductor, tuple(-c for c in self.coeffs))
+        return Cyclotomic(self.conductor, self._scaled(-1), self.den)
 
     def __mul__(self, other):
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        if self.conductor == 1 and other.conductor == 1:
-            return Cyclotomic(1, (self.coeffs[0] * other.coeffs[0],))
         M = lcm(self.conductor, other.conductor)
-        return Cyclotomic.over(M, cyclotomic_ring(M).mul(self._lift(M), other._lift(M)))
+        return Cyclotomic(M, cyclotomic_ring(M).mul(self._lift(M), other._lift(M)),
+                          self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -141,18 +139,20 @@ class Cyclotomic:
         if other is NotImplemented:
             return NotImplemented
         M = lcm(self.conductor, other.conductor)
-        return self._lift(M) == other._lift(M)
+        scale = cyclotomic_ring(M).scale
+        return scale(self._lift(M), other.den) == scale(other._lift(M), self.den)
 
     # values at different conductors can compare equal, so hashing is unsupported
     __hash__ = None
 
     def __str__(self):
         if self.conductor == 1:
-            return str(self.coeffs[0])
+            return str(Fraction(self.num, self.den))
         parts = []
-        for j, c in enumerate(self.coeffs):
+        for j, c in enumerate(self.num):
             if not c:
                 continue
+            c = Fraction(c, self.den)
             if j == 0:
                 parts.append(str(c))
             else:
@@ -166,13 +166,10 @@ class Cyclotomic:
     def to_json(self):
         """Exact JSON form: rationals as numerator/denominator strings."""
         if self.conductor == 1:
-            q = self.coeffs[0]
-            return {"num": str(q.numerator), "den": str(q.denominator)}
-        return {
-            "conductor": self.conductor,
-            "coeffs": [{"num": str(c.numerator), "den": str(c.denominator)}
-                       for c in self.coeffs],
-        }
+            return {"num": str(self.num), "den": str(self.den)}
+        coeffs = [Fraction(c, self.den) for c in self.num]
+        return {"conductor": self.conductor,
+                "coeffs": [{"num": str(c.numerator), "den": str(c.denominator)} for c in coeffs]}
 
 
 def root_at_conductor(m: int, k: int):
@@ -186,7 +183,7 @@ def root_at_conductor(m: int, k: int):
 def add_at_conductors(ca: int, a, cb: int, b):
     """a at conductor ca plus b at conductor cb, as (conductor, value): at lcm(ca, cb),
     or at 1 when it is rational.  A value at c > 1 is its tuple in the power basis of
-    Q(zeta_c) and is not rational; at conductor 1 it is an int or a Fraction."""
+    Z[zeta_c] and is not rational; at conductor 1 it is an int."""
     if cb == 1:  # a rational addend leaves the other's irrational part as it is
         return (1, a + b) if ca == 1 else (ca, (a[0] + b,) + a[1:])
     if ca == 1:
@@ -213,10 +210,10 @@ class CyclotomicIntegers:
     basis ``Cyclotomic`` uses, or a plain int when phi(m) = 1 (m = 1 or 2).
     The power basis is a basis, so equal elements have equal representations.
     ``add``, ``sub``, ``mul``, ``scale`` (by an int) and ``nonzero`` are plain
-    functions, so loops can bind them to locals.  ``mul`` and ``combine`` also
-    take Fraction coefficients: that is how ``Cyclotomic`` multiplies and lifts.
-    ``mul`` is ``operator.mul`` at phi(m) = 1 and above that a schoolbook product
-    reduced by ``powers``.
+    functions, so loops can bind them to locals; ``Cyclotomic`` multiplies and
+    lifts its numerators with ``mul`` and ``combine``.  ``mul`` is
+    ``operator.mul`` at phi(m) = 1 and above that a schoolbook product reduced
+    by ``powers``.
     """
 
     def __init__(self, m: int):
@@ -293,7 +290,7 @@ class CyclotomicIntegers:
         total = Cyclotomic.zero()
         for j, c in enumerate(coeffs):
             if c:
-                total = total + Cyclotomic.root_of_unity(self.m, j) * Fraction(c, denominator)
+                total = total + Cyclotomic.root_of_unity(self.m, j) * Cyclotomic(1, c, denominator)
         return total
 
 

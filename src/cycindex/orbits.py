@@ -150,8 +150,7 @@ def weighted_sum_g(W: PermGroup, chi: LinearCharacter, n: int,
             exps[j] += 1
         key = tuple(exps)
         counts[key] = counts.get(key, 0) + 1
-    return MonomialPoly(nvars, {key: Cyclotomic.from_rational(count)
-                                for key, count in counts.items()})
+    return MonomialPoly(nvars, {key: Cyclotomic(1, count) for key, count in counts.items()})
 
 
 def full_census(W: PermGroup, chi: LinearCharacter, n: int,
@@ -162,14 +161,14 @@ def full_census(W: PermGroup, chi: LinearCharacter, n: int,
     the next H-orbit, formed by applying H's rows to it.  The H-orbits must have
     equal lengths and partition the W-orbit, and |W:H| |H:H_i| = |W:W_i| |W_i:H_i|
     must hold at the representative, where W_i is its recorded stabilizer and
-    H_i the elements of W_i in H.
+    H_i the elements of W_i in H, those where chi's exponent is 0.
     """
     is_chi_orbit = _chi_flag(W, chi)
     getters, orbits = _scan(W, n, caps)
-    H = kernel(chi)
-    in_H = [g in H.image_index for g in W.images]
+    in_H = [e == 0 for e in chi.exponents_in(W)]
     h_rows = list(compress(getters, in_H))
-    index_WH = W.order // H.order
+    H_order = sum(in_H)
+    index_WH = W.order // H_order
     records = []
     for rep, remaining, stab in orbits:
         size = len(remaining)
@@ -185,9 +184,10 @@ def full_census(W: PermGroup, chi: LinearCharacter, n: int,
         if tau * h_len != size:
             raise AssertionError("H-orbits do not partition the W-orbit")
         h_stab_order = sum([in_H[k] for k in stab])
-        if index_WH * (H.order // h_stab_order) != size * (len(stab) // h_stab_order):
+        if index_WH * (H_order // h_stab_order) != size * (len(stab) // h_stab_order):
             raise AssertionError(f"index identity fails at {rep}")
         records.append(OrbitRecord(rep, size, stab, is_chi_orbit(stab), tau, h_len))
+    kernel(chi)  # H is a group of index image_order: built last, so a capped scan builds none
     return OrbitTable(W, n, tuple(records))
 
 

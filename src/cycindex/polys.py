@@ -9,7 +9,7 @@ exponent vectors, which is graded for the polynomials produced here.
 
 ``cycle_index`` and ``specialize`` (p_s -> x_0^s + ... + x_n^s, giving g_n) add
 int (conductor, value) pairs over one denominator with ``add_at_conductors``, in
-the order that fixes each conductor, and make one ``Cyclotomic`` per coefficient.
+the order that fixes each conductor; a ``Cyclotomic`` coefficient is such a pair.
 ``specialize`` checks symmetry on those int pairs: a term and its image under a
 swap of variables are summed from the same counts in the same order, so their pairs
 are equal.  The insertion rule p_s -> Z_V(p_s, p_2s, ...) (``plethysm_insert``)
@@ -78,11 +78,11 @@ class _SparsePoly:
             mono = "*".join(f"{self.VAR}{i + self.FIRST}" + (f"^{e}" if e > 1 else "")
                             for i, e in enumerate(exps) if e)
             rational = coeff.is_rational()
-            negative = rational and coeff.coeffs[0] < 0
+            negative = rational and coeff.num < 0
             shown = -coeff if negative else coeff
             if not mono:
                 body = _coeff_text(shown)
-            elif rational and abs(coeff.coeffs[0]) == 1:
+            elif rational and coeff.den == 1 and abs(coeff.num) == 1:
                 body = mono
             else:
                 body = f"{_coeff_text(shown)}*{mono}"
@@ -104,7 +104,7 @@ class _SparsePoly:
 
 
 def _coeff_text(coeff: Cyclotomic) -> str:
-    if coeff.is_rational() and coeff.as_rational().denominator == 1:
+    if coeff.is_rational() and coeff.den == 1:
         return str(coeff)
     return f"({coeff})"
 
@@ -180,7 +180,7 @@ def cycle_index(G: PermGroup, chi: LinearCharacter) -> PowerSumPoly:
     for key, e in zip(map(cycle_type, chi.group.images), chi.exponents):
         prev = acc.get(key)
         acc[key] = roots[e] if prev is None else add_at_conductors(*prev, *roots[e])
-    return PowerSumPoly(G.degree, {k: Cyclotomic.over(*v, G.order) for k, v in acc.items()})
+    return PowerSumPoly(G.degree, {k: Cyclotomic(*v, G.order) for k, v in acc.items()})
 
 
 def specialize(Z: PowerSumPoly, n: int, caps: Caps = DEFAULT_CAPS) -> MonomialPoly:
@@ -200,10 +200,10 @@ def specialize(Z: PowerSumPoly, n: int, caps: Caps = DEFAULT_CAPS) -> MonomialPo
     stack: list[dict[tuple[int, ...], int]] = [{(0,) * nvars: 1}]
     factors: list[int] = []
     acc: dict[tuple[int, ...], tuple] = {}
-    D = lcm(1, *[c.denominator for coeff in Z.terms.values() for c in coeff.coeffs])
+    D = lcm(1, *[coeff.den for coeff in Z.terms.values()])
     for exps, coeff in Z.sorted_terms():
         conductor, ring = coeff.conductor, cyclotomic_ring(coeff.conductor)
-        value = ring.combine([c.numerator * (D // c.denominator) for c in coeff.coeffs])
+        value = ring.scale(coeff.num, D // coeff.den)
         term_factors = [s for s, c in enumerate(exps, start=1) for _ in range(c)]
         pairs = list(zip(factors, term_factors))
         shared = next((i for i, (a, b) in enumerate(pairs) if a != b), len(pairs))
@@ -225,7 +225,7 @@ def specialize(Z: PowerSumPoly, n: int, caps: Caps = DEFAULT_CAPS) -> MonomialPo
             acc[key] = item if prev is None else add_at_conductors(*prev, *item)
     if not _symmetric_terms(acc):
         raise AssertionError("specialized cycle index is not symmetric")
-    return MonomialPoly(nvars, {k: Cyclotomic.over(*v, D) for k, v in acc.items()})
+    return MonomialPoly(nvars, {k: Cyclotomic(*v, D) for k, v in acc.items()})
 
 
 def check_monomial_cap(degree: int, n: int, caps: Caps = DEFAULT_CAPS) -> None:

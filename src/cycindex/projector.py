@@ -356,12 +356,13 @@ def verify_basis_prop(M: MonomialModule, alpha: LinearCharacter) -> BasisReport:
             for i in rest:
                 yield rep, i, weights[via[i]][rep]
 
+    rep_cols = {i: A.column(i) for i in reps}  # each column is reduced once from here on
     unproven = [i for rep, i, k in steps() if not A.rotated_equals(i, k, rep)]
-    kernel_ok = not unproven and not any(A.column(i) for i in J0)
+    kernel_ok = not unproven and not any(rep_cols[i] for i in J0)
 
     trace = A.trace()
-    rank = rank_of_columns([A.column(i) for i in reps + unproven], ring)
-    independent = rank_of_columns([A.column(j) for j in J], ring) == len(J)
+    rank = rank_of_columns(list(rep_cols.values()) + [A.column(i) for i in unproven], ring)
+    independent = rank_of_columns([rep_cols[j] for j in J], ring) == len(J)
     if kernel_ok:
         kernel_cols = [{rep: ring.one, i: ring.scale(ring.root(k), -1)} for rep, i, k in steps()]
         kernel_cols += [{i: ring.one} for i in J0]

@@ -6,8 +6,8 @@ them.
 """
 
 from fractions import Fraction
-from itertools import combinations
-from math import lcm
+from itertools import combinations, zip_longest
+from math import gcd, lcm
 
 from cycindex import (Cyclotomic, MonomialPoly, Permutation, PowerSumPoly, cycle_type,
                       cyclotomic_polynomial)
@@ -173,23 +173,102 @@ def specialize_by_substitution(Z, n, caps=DEFAULT_CAPS):
     return result
 
 
+def fraction_form(c):
+    """A ``Cyclotomic`` as an oracle value (conductor, Fraction coefficients in the
+    power basis of Q(zeta_conductor)), read from its public ``to_json()``."""
+    js = c.to_json()
+    if "conductor" not in js:
+        return 1, (Fraction(int(js["num"]), int(js["den"])),)
+    return js["conductor"], tuple(Fraction(int(q["num"]), int(q["den"])) for q in js["coeffs"])
+
+
+def fraction_json(value):
+    """The ``to_json()`` form of an oracle value."""
+    conductor, coeffs = value
+    pairs = [{"num": str(q.numerator), "den": str(q.denominator)} for q in coeffs]
+    return pairs[0] if conductor == 1 else {"conductor": conductor, "coeffs": pairs}
+
+
+def rational(c):
+    """The value of a rational ``Cyclotomic`` as a Fraction, read from its ``to_json()``."""
+    conductor, coeffs = fraction_form(c)
+    if conductor != 1:
+        raise ValueError(f"{c!r} is not rational")
+    return coeffs[0]
+
+
+def as_cyclotomic(value):
+    """The ``Cyclotomic`` of an oracle value, built at the value's own conductor."""
+    conductor, coeffs = value
+    den = lcm(*(q.denominator for q in coeffs))
+    nums = tuple(int(q * den) for q in coeffs)
+    return Cyclotomic(conductor, nums[0] if conductor == 1 else nums, den)
+
+
+def reduce_mod_phi(poly, M):
+    """A polynomial in zeta_M (Fraction coefficients, ascending) as an oracle value:
+    its remainder by long division with the monic Phi_M, at conductor M, or at 1
+    when only the constant term is left."""
+    phi = cyclotomic_polynomial(M)
+    deg = len(phi) - 1
+    rest = list(poly) + [Fraction(0)] * (deg - len(poly))
+    for i in range(len(rest) - 1, deg - 1, -1):
+        top = rest[i]
+        if top:
+            for t, p in enumerate(phi):
+                rest[i - deg + t] -= top * p
+    coeffs = tuple(rest[:deg])
+    return (M, coeffs) if any(coeffs[1:]) else (1, coeffs[:1])
+
+
+def lift(value, M):
+    """An oracle value's coefficients as a polynomial in zeta_M, its conductor m | M:
+    zeta_m^j = zeta_M^(j M/m)."""
+    conductor, coeffs = value
+    step = M // conductor
+    poly = [Fraction(0)] * ((len(coeffs) - 1) * step + 1)
+    for j, c in enumerate(coeffs):
+        poly[j * step] = c
+    return poly
+
+
+def root(m, k):
+    """zeta_m^k as an oracle value, at its conductor m/gcd(k, m), or at 1 when that is <= 2."""
+    g = gcd(k, m)
+    return reduce_mod_phi([Fraction(0)] * (k % m // g) + [Fraction(1)], m // g)
+
+
 def cyclotomic_sum(a, b):
-    """a + b as ``Cyclotomic`` summed before the conductor rule had its own function:
-    both lifted to the lcm of their conductors, demoted to conductor 1 when rational."""
-    M = lcm(a.conductor, b.conductor)
-    total = [x + y for x, y in zip(a._lift(M), b._lift(M))]
-    return Cyclotomic(M, tuple(total)) if any(total[1:]) else Cyclotomic.from_rational(total[0])
+    """a + b on oracle values: both lifted to the lcm M of their conductors, added and
+    reduced mod Phi_M, and demoted to conductor 1 when rational."""
+    M = lcm(a[0], b[0])
+    return reduce_mod_phi([x + y for x, y in zip_longest(lift(a, M), lift(b, M),
+                                                         fillvalue=Fraction(0))], M)
+
+
+def cyclotomic_product(a, b):
+    """a * b on oracle values: the product of their lifts to the lcm M of their
+    conductors, reduced mod Phi_M, and demoted to conductor 1 when rational."""
+    M = lcm(a[0], b[0])
+    pa, pb = lift(a, M), lift(b, M)
+    prod = [Fraction(0)] * (len(pa) + len(pb) - 1)
+    for i, x in enumerate(pa):
+        for j, y in enumerate(pb):
+            prod[i + j] += x * y
+    return reduce_mod_phi(prod, M)
 
 
 def cycle_index_by_cyclotomic_sums(G, chi):
-    """Z(chi) with one ``cyclotomic_sum`` of ``Cyclotomic`` values per element of
+    """Z(chi) with one ``cyclotomic_sum`` of oracle ``root`` values per element of
     chi's group, in its element order, scaled by 1/|G| at the end."""
     acc = {}
     for sigma, e in zip(chi.group.images, chi.exponents):
         key = cycle_type(sigma)
-        root = Cyclotomic.root_of_unity(chi.order_m, e)
-        acc[key] = root if key not in acc else cyclotomic_sum(acc[key], root)
-    return PowerSumPoly(G.degree, {k: v * Fraction(1, G.order) for k, v in acc.items()})
+        z = root(chi.order_m, e)
+        acc[key] = z if key not in acc else cyclotomic_sum(acc[key], z)
+    scale = (1, (Fraction(1, G.order),))
+    return PowerSumPoly(G.degree, {k: as_cyclotomic(cyclotomic_product(v, scale))
+                                   for k, v in acc.items()})
 
 
 def module_points(M):

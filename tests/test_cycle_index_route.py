@@ -1,11 +1,15 @@
-"""``cycle_index`` and ``specialize`` against the ``Cyclotomic`` route they replaced.
+"""``cycle_index``, ``specialize`` and ``Cyclotomic`` against a Fraction oracle.
 
-Both now sum integer (conductor, value) pairs.  Their text must stay what
-summing ``Cyclotomic`` values element by element prints, conductors included,
-and no ``Cyclotomic`` addition or product may run inside them.
+``cycle_index`` and ``specialize`` sum integer (conductor, value) pairs.  Their
+text must stay what summing values element by element prints, conductors
+included, and no ``Cyclotomic`` addition or product may run inside them.  The
+oracle of ``tests/oracles.py`` adds and multiplies Fraction coefficient tuples
+read from ``to_json()`` and reduces them modulo Phi_M by long division, so it
+shares no arithmetic with ``Cyclotomic`` or ``CyclotomicIntegers``.
 """
 
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
@@ -16,7 +20,8 @@ from cycindex.caps import CapExceeded
 from cycindex.cli import EXIT_MISMATCH, JobSpec, run
 from cycindex.cyclo import add_at_conductors, cyclotomic_ring, root_at_conductor
 from cycindex.grammar import parse_group
-from oracles import cycle_index_by_cyclotomic_sums, cyclotomic_sum
+from oracles import (as_cyclotomic, cycle_index_by_cyclotomic_sums, cyclotomic_product,
+                     cyclotomic_sum, fraction_json, lift, reduce_mod_phi, root)
 from test_random_groups import CAPS, groups
 
 
@@ -46,16 +51,54 @@ roots = st.tuples(st.sampled_from([1, 2, 3, 4, 5, 6, 8, 9, 10, 12, 15]), st.inte
     lambda palette: st.lists(st.tuples(st.sampled_from(palette),
                                        st.sampled_from([-2, -1, 1, 2, 3])), max_size=12)))
 def test_running_int_sums_keep_the_conductors_of_cyclotomic_sums(terms):
-    # a sum of c * zeta_m^k, step by step: int pairs against the oracle's Cyclotomic
+    # a sum of c * zeta_m^k, step by step: int pairs against the oracle's Fraction sums
     pair = want = None
     for (m, k), c in terms:
         r, v = root_at_conductor(m, k)
         item = r, cyclotomic_ring(r).scale(v, c)
-        root = Cyclotomic.root_of_unity(m, k) * c
+        z = cyclotomic_product(root(m, k), (1, (Fraction(c),)))
         pair = item if pair is None else add_at_conductors(*pair, *item)
-        want = root if want is None else cyclotomic_sum(want, root)
-        assert Cyclotomic.over(*pair).to_json() == want.to_json()
-        assert pair[0] == want.conductor
+        want = z if want is None else cyclotomic_sum(want, z)
+        assert Cyclotomic(*pair).to_json() == fraction_json(want)
+        assert pair[0] == want[0]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(roots, min_size=1, max_size=4).flatmap(
+    lambda palette: st.lists(st.tuples(st.sampled_from(["add", "mul", "neg"]),
+                                       st.sampled_from(palette), st.integers(-6, 6),
+                                       st.integers(1, 6), st.sampled_from([1, 2, 3, 4])),
+                             max_size=12)))
+def test_cyclotomic_arithmetic_matches_the_fraction_oracle(steps):
+    # a running value under + and * by (c/q) zeta_m^k and under negation, against
+    # the oracle; then the same value written at t times its conductor, and twice it
+    got, want = Cyclotomic.one(), (1, (Fraction(1),))
+    for op, (m, k), c, q, t in steps:
+        term = Cyclotomic.root_of_unity(m, k) * Fraction(c, q)
+        z = cyclotomic_product(root(m, k), (1, (Fraction(c, q),)))
+        assert term.to_json() == fraction_json(z)
+        if op == "add":
+            got, want = got + term, cyclotomic_sum(want, z)
+        elif op == "mul":
+            got, want = got * term, cyclotomic_product(want, z)
+        else:
+            got, want = -got, (want[0], tuple(-x for x in want[1]))
+        assert got.to_json() == fraction_json(want)
+        assert got.conductor == want[0]
+        M = want[0] * t
+        higher = as_cyclotomic(reduce_mod_phi(lift(want, M), M))
+        assert got == higher and higher == got
+        twice = as_cyclotomic(cyclotomic_product(want, (1, (Fraction(2),))))
+        assert (got == twice) == got.is_zero()
+
+
+def test_minus_zeta3_equals_zeta6_to_the_fifth():
+    a, b = -Cyclotomic.root_of_unity(3, 1), Cyclotomic.root_of_unity(6, 5)
+    assert (a.conductor, b.conductor) == (3, 6)
+    assert a == b and b == a
+    assert a.to_json() == fraction_json((3, (Fraction(0), Fraction(-1))))
+    assert b.to_json() == fraction_json(root(6, 5))
+    assert a != Cyclotomic.root_of_unity(6, 1)
 
 
 def test_no_cyclotomic_arithmetic_inside_the_loops(monkeypatch):

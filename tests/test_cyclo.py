@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 
 from cycindex import Cyclotomic, cyclotomic_polynomial
 from cycindex.cyclo import CyclotomicIntegers
-from oracles import euler_phi, multiplicative_order
+from oracles import euler_phi, multiplicative_order, rational
 
 
 def sympy_cyclotomic(m):
@@ -71,7 +71,7 @@ class TestArithmetic:
     def test_rational_demotion(self):
         z = Cyclotomic.root_of_unity(4, 1)
         assert (z * z).is_rational()
-        assert (z * z).as_rational() == -1
+        assert rational(z * z) == -1
         assert Cyclotomic.root_of_unity(12, 6).is_rational()
 
     def test_rational_coercion_in_operations(self):
@@ -136,8 +136,8 @@ class TestCyclotomicIntegers:
 
     @pytest.mark.parametrize("m", [3, 4, 6])
     def test_degree_two_mul_matches_sympy_remainder(self, m):
-        """The product at phi(m) = 2 on ints and on the Fraction lifts that
-        Cyclotomic multiplies, with a zero in each slot; ints stay ints."""
+        """The product at phi(m) = 2 on ints and, since it is generic, on
+        Fractions, with a zero in each slot; ints stay ints."""
         R = CyclotomicIntegers(m)
         assert R.degree == 2
         values = [0, 1, -2, Fraction(1, 2), Fraction(-5, 3)]
@@ -155,6 +155,29 @@ class TestCyclotomicIntegers:
             for k in range(m):
                 total = R.add(total, R.root(k))
             assert not R.nonzero(total) and total == R.zero
+
+
+class TestRepresentation:
+    def test_constructor_demotes_and_divides_out_the_gcd(self):
+        q = Cyclotomic(3, (2, 0), 4)
+        assert (q.conductor, q.num, q.den) == (1, 1, 2)
+        z = Cyclotomic(4, (6, -3), 9)
+        assert (z.conductor, z.num, z.den) == (4, (2, -1), 3)
+        zero = Cyclotomic(5, (0, 0, 0, 0), 7)
+        assert (zero.conductor, zero.num, zero.den) == (1, 0, 1) and zero.is_zero()
+
+    def test_equality_cross_multiplies_the_denominators(self):
+        assert Cyclotomic(1, 1, 2) != Cyclotomic(1, 1, 3)
+        assert Cyclotomic(3, (0, 1), 2) != Cyclotomic(3, (0, 1), 3)
+        assert Cyclotomic(1, 2, 4) == Fraction(1, 2)
+        # zeta_3 = zeta_6^2 = zeta_6 - 1 in the power basis of Q(zeta_6)
+        assert Cyclotomic(3, (0, 1), 2) == Cyclotomic(6, (-1, 1), 2)
+
+    def test_each_coefficient_prints_reduced(self):
+        value = Cyclotomic(3, (2, 1), 4)
+        assert str(value) == "1/2 + 1/4*z3"
+        assert value.to_json() == {"conductor": 3, "coeffs": [{"num": "1", "den": "2"},
+                                                              {"num": "1", "den": "4"}]}
 
 
 class TestRendering:

@@ -11,7 +11,8 @@ from cycindex.caps import CapExceeded, Caps
 from cycindex.cli import EXIT_CAP, JobSpec, run
 from cycindex.orbits import action_table, census_json, census_tsv
 from cycindex.perms import PermGroup, Permutation
-from oracles import apply_perm, census_by_apply_perm, evaluate_all_ones, same_character
+from oracles import (apply_perm, census_by_apply_perm, evaluate_all_ones, rational,
+                     same_character)
 
 
 def burnside_orbit_count(W, n):
@@ -237,6 +238,16 @@ class TestCensus:
         assert (code, out) == (EXIT_CAP, f"cap exceeded: {message}\n")
         assert applied == [0]
 
+    def test_work_cap_stops_the_census_before_the_kernel(self, S4, monkeypatch):
+        """S(4) at n=2 has 15 orbits, 360 row applications: the cap of 300 stops the
+        scan, and ker chi is never built."""
+        def no_kernel(chi):
+            raise AssertionError("kernel ran before the scan finished")
+
+        monkeypatch.setattr(orbits, "kernel", no_kernel)
+        with pytest.raises(CapExceeded, match="row applications"):
+            full_census(S4, sign_character(S4), 2, caps=Caps(orbit_work=300))
+
     def test_rows_applied_are_one_scan_and_the_h_orbits(self, S4, monkeypatch):
         """#orbits * |W| rows form the W-orbits, and tau_H * |H| more split each of
         them; no row of W is applied a second time."""
@@ -285,7 +296,7 @@ class TestOrbitIdentity:
             chi = unit_character(W)
             rhs = specialize(cycle_index(W, chi), 2)
             assert weighted_sum_g(W, chi, 2) == rhs
-            ones = evaluate_all_ones(rhs).as_rational()
+            ones = rational(evaluate_all_ones(rhs))
             assert ones == burnside_orbit_count(W, 2)
 
     def test_truncation_coherence(self, C4):

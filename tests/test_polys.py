@@ -15,7 +15,7 @@ from cycindex.cli import JobSpec, run
 from cycindex import polys
 from cycindex.polys import check_monomial_cap
 from oracles import (coefficient, cycle_type_from_cycles, elementary_symmetric,
-                     psum_sub, specialize_by_substitution)
+                     psum_sub, rational, specialize_by_substitution)
 
 
 def sympy_poly(mono: MonomialPoly):
@@ -23,7 +23,7 @@ def sympy_poly(mono: MonomialPoly):
     xs = sympy.symbols(f"x0:{mono.size}")
     expr = sympy.Integer(0)
     for exps, coeff in mono.terms.items():
-        q = coeff.as_rational()
+        q = rational(coeff)
         term = sympy.Rational(q.numerator, q.denominator)
         for x, e in zip(xs, exps):
             term *= x ** e
@@ -282,7 +282,7 @@ class TestPlethysm:
                               cycle_index(s3, unit_character(s3)))
         bound = 6 ** 2 * 2
         for coeff in got.terms.values():
-            assert bound % coeff.as_rational().denominator == 0
+            assert bound % rational(coeff).denominator == 0
 
 
 class TestMonomialHelpers:

@@ -416,6 +416,43 @@ class TestRank:
         assert products == [0, 0, 0], products
 
 
+class TestColumnReads:
+    @pytest.mark.parametrize("expr, n", [("S(3)", 2), ("D(4)", 1), ("C(4)", 2), ("A(4)", 1)])
+    def test_no_column_is_reduced_twice_after_the_annihilation_check(self, monkeypatch,
+                                                                     expr, n):
+        """After check_annihilation returns, verify_basis_prop reduces each column it
+        reads once: the representatives' for the kernel check, the rank and the
+        independence check, and the unproven steps' for the rank."""
+        reads, after = [], []
+        column, check = SparseMatrix.column, projector.check_annihilation
+
+        def counted(A, j):
+            (after if after else reads).append(j)
+            return column(A, j)
+
+        def marked(*args):
+            ok = check(*args)
+            after.append(None)
+            return ok
+        monkeypatch.setattr(SparseMatrix, "column", counted)
+        monkeypatch.setattr(projector, "check_annihilation", marked)
+        G = parse_group(expr).group
+        chars = enumerate_linear_characters(G)
+        excluded = unproven = 0
+        for alpha in chars + [_tampered(chi) for chi in chars]:
+            reads.clear()
+            after.clear()
+            M = MonomialModule(G, n)
+            rep = verify_basis_prop(M, alpha)
+            later = after[1:]
+            assert len(later) == len(set(later)), (expr, n, alpha.exponents)
+            orbits = len(M.orbit_transversal()[0])
+            assert len(later) >= orbits
+            excluded += rep.J_size < orbits
+            unproven += len(later) > orbits
+        assert excluded and unproven  # J0 columns and unproven columns were both read
+
+
 SPANNING_CASES = [("S(3)", 1), ("S(3)", 2), ("D(4)", 1), ("A(4)", 1), ("C(4)", 1),
                   ("S(4)", 1), ("C(5)", 1)]
 
