@@ -13,7 +13,7 @@ from .characters import (LinearCharacter, enumerate_linear_characters, kernel,
 from .cyclo import Cyclotomic, cyclotomic_polynomial
 from .orbits import (OrbitRecord, OrbitTable, enumerate_orbits, full_census,
                      index_set_J, weighted_sum_g)
-from .perms import (PermGroup, Permutation, compose, cycle_type,
+from .perms import (PermGroup, compose, cycle_string, cycle_type,
                     decompose_wreath_element, derived_subgroup,
                     direct_product_embed, group_closure, inverse, named_group,
                     perm_from_cycles, wreath_embed)
@@ -32,7 +32,7 @@ __all__ = [
     "Cyclotomic", "cyclotomic_polynomial",
     "OrbitRecord", "OrbitTable", "enumerate_orbits", "full_census",
     "index_set_J", "weighted_sum_g",
-    "PermGroup", "Permutation", "compose", "cycle_type",
+    "PermGroup", "compose", "cycle_string", "cycle_type",
     "decompose_wreath_element", "derived_subgroup", "direct_product_embed",
     "group_closure", "inverse", "named_group", "perm_from_cycles", "wreath_embed",
     "MonomialPoly", "PowerSumPoly", "cycle_index", "is_symmetric",

@@ -19,7 +19,7 @@ from math import gcd, lcm
 from operator import sub
 
 from .caps import Caps, CapExceeded, DEFAULT_CAPS
-from .perms import (PermGroup, Permutation, _right_mul, cycle_type,
+from .perms import (Images, PermGroup, _right_mul, cycle_string, cycle_type,
                     decompose_wreath_element, derived_subgroup, split_product_element)
 
 
@@ -37,8 +37,8 @@ class LinearCharacter:
         self.exponents = tuple(e % order_m for e in exponents)
         self.name = name
 
-    def exponent(self, g: Permutation) -> int:
-        return self.exponents[self.group.index(g)]
+    def exponent(self, g: Images) -> int:
+        return self.exponents[self.group.image_index[g]]
 
     def exponents_in(self, group: PermGroup) -> tuple[int, ...]:
         """The exponents listed in the element order of ``group``, a group equal to
@@ -68,14 +68,14 @@ def validate_homomorphism(chi: LinearCharacter) -> None:
     G, m, table = chi.group, chi.order_m, chi.exponents
     failures = []
     for k, row in enumerate(G.right):
-        e = table[G.index(G.generators[k])]
+        e = table[row[0]]
         if list(map(table.__getitem__, row)) != [(v + e) % m for v in table]:
             i = next(i for i, j in enumerate(row) if table[j] != (table[i] + e) % m)
             failures.append((i, k))
     if failures:
         i, k = min(failures)
-        raise ValueError(f"not a homomorphism at ({Permutation(G.images[i])!r}, "
-                         f"{G.generators[k]!r})")
+        raise ValueError(f"not a homomorphism at ({cycle_string(G.images[i])}, "
+                         f"{cycle_string(G.generators[k])})")
 
 
 def _from_generators(G: PermGroup, m: int, exponents, name: str | None,
@@ -101,7 +101,7 @@ def unit_character(G: PermGroup) -> LinearCharacter:
 
 def sign_character(G: PermGroup) -> LinearCharacter:
     """Restriction of the alternating character of S_d to G."""
-    parities = [(G.degree - sum(cycle_type(g.images))) % 2 for g in G.generators]
+    parities = [(G.degree - sum(cycle_type(g))) % 2 for g in G.generators]
     return _from_generators(G, 2 if any(parities) else 1, parities, "sign")
 
 
@@ -111,7 +111,7 @@ def abelianization_exponent(G: PermGroup, derived: PermGroup) -> int:
     exponent of such a group is the lcm of its generators' orders."""
     m = 1
     for g in G.generators:
-        power, t, times_g = g.images, 1, _right_mul(g.images)
+        power, t, times_g = g, 1, _right_mul(g)
         while power not in derived.image_index:
             power = times_g(power)
             t += 1
@@ -249,8 +249,8 @@ def product_character(chi: LinearCharacter, theta: LinearCharacter,
     exponents = []
     for g in P.generators:
         sigma, tau = split_product_element(g, W.degree, V.degree)
-        if sigma not in W or tau not in V:
-            raise ValueError(f"{g!r} does not decompose inside W x V")
+        if sigma not in W.image_index or tau not in V.image_index:
+            raise ValueError(f"{cycle_string(g)} does not decompose inside W x V")
         exponents.append(chi.exponent(sigma) * (m // chi.order_m)
                          + theta.exponent(tau) * (m // theta.order_m))
     return _from_generators(P, m, exponents, "product")

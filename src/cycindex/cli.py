@@ -17,7 +17,7 @@ from .characters import (LinearCharacter, enumerate_linear_characters, product_c
                          wreath_character)
 from .grammar import GroupSpec, SpecError, parse_character, parse_group
 from .orbits import census_json, census_tsv, full_census, weighted_sum_g
-from .perms import direct_product_embed, wreath_embed
+from .perms import cycle_string, direct_product_embed, wreath_embed
 from .polys import cycle_index, plethysm_insert, psum_mul, specialize
 from .projector import MonomialModule, verify_basis_prop
 
@@ -138,7 +138,7 @@ def _run_characters(spec: JobSpec, group_spec: GroupSpec) -> tuple[int, str]:
             "characters": [
                 {"selector": f"index:{k}",
                  "image_order": chi.image_order(),
-                 "generator_exponents": {g.cycle_string(): chi.exponent(g)
+                 "generator_exponents": {cycle_string(g): chi.exponent(g)
                                          for g in G.generators}}
                 for k, chi in enumerate(chars)
             ],
@@ -147,7 +147,7 @@ def _run_characters(spec: JobSpec, group_spec: GroupSpec) -> tuple[int, str]:
     lines = [f"group {group_spec.text}: order {G.order}, "
              f"{len(chars)} linear character(s), values in Q(zeta_{chars[0].order_m})"]
     for k, chi in enumerate(chars):
-        gen_vals = ", ".join(f"{g.cycle_string()} -> zeta^{chi.exponent(g)}"
+        gen_vals = ", ".join(f"{cycle_string(g)} -> zeta^{chi.exponent(g)}"
                              for g in G.generators) or "trivial group"
         lines.append(f"  index:{k}  image order {chi.image_order()}  {gen_vals}")
     return EXIT_OK, "\n".join(lines) + "\n"

@@ -158,7 +158,7 @@ def _character_from_vals(body: str, G: PermGroup, caps: Caps) -> LinearCharacter
             exponent = int(exp_text)
         except ValueError as exc:
             raise SpecError(str(exc)) from None
-        if perm not in G:
+        if perm not in G.image_index:
             raise SpecError(f"{perm_text.strip()!r} is not an element of the group")
         pairs.append((perm, exponent))
     if not pairs:

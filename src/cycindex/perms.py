@@ -1,15 +1,14 @@
-"""Permutations on {1,...,d} and permutation groups stored as explicit element lists.
+"""Bijections of {1,...,d} as image tuples, and permutation groups stored as element lists.
 
-A group element is its image tuple, ``images[s-1]`` the image of the point s,
-or its index in the group's element order; ``compose``, ``inverse`` and
-``cycle_type`` act on image tuples.  ``Permutation`` is the boundary type: it
-parses cycle notation, names a group's generators and prints elements in error
-messages; a ``PermGroup`` holds its elements as image tuples only.
+A group element, generators included, is its image tuple, ``images[s-1]`` the
+image of the point s, or its index in the group's element order; ``compose``,
+``inverse``, ``cycle_type`` and ``cycle_string`` act on image tuples, and
+``perm_from_cycles`` parses cycle notation into one.
 Every group is closed by one capped breadth-first walk, ``_bfs_order``, which
 fixes the element order and records the right-multiplication table:
 ``right[k][i]`` is the index of ``images[i] * generators[k]``, one compact
-``array`` row per generator.  The walk, and the one greedy closure on it
-(``from_elements``; ``derived_subgroup``, a normal closure), use image tuples.
+``array`` row per generator.  One greedy closure on that walk builds
+``from_elements`` and ``derived_subgroup``, a normal closure.
 Every ``PermGroup`` holds its table from construction: a group given by an
 element list, such as a direct product, builds it in the constructor.
 Points are 1-based throughout.  ``compose(a, b)`` applies ``b`` first, so the
@@ -20,69 +19,12 @@ from __future__ import annotations
 
 import re
 from array import array
-from dataclasses import dataclass
 from operator import itemgetter
 from typing import Callable, Iterable, Sequence
 
 from .caps import Caps, CapExceeded, DEFAULT_CAPS
 
 Images = tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class Permutation:
-    """A bijection of {1,...,d}; ``images[s-1]`` is the image of the point s."""
-
-    images: Images
-
-    def __post_init__(self):
-        if sorted(self.images) != list(range(1, len(self.images) + 1)):
-            raise ValueError(f"images {self.images} are not a bijection of 1..{len(self.images)}")
-
-    @property
-    def degree(self) -> int:
-        return len(self.images)
-
-    def __call__(self, s: int) -> int:
-        return self.images[s - 1]
-
-    def is_identity(self) -> bool:
-        return all(t == s for s, t in enumerate(self.images, start=1))
-
-    def cycles(self) -> list[tuple[int, ...]]:
-        """Nontrivial cycles, each starting at its smallest point, sorted by that point."""
-        seen = [False] * self.degree
-        out = []
-        for start in range(1, self.degree + 1):
-            if seen[start - 1]:
-                continue
-            cyc = [start]
-            seen[start - 1] = True
-            t = self(start)
-            while t != start:
-                cyc.append(t)
-                seen[t - 1] = True
-                t = self(t)
-            if len(cyc) > 1:
-                out.append(tuple(cyc))
-        return out
-
-    def cycle_string(self) -> str:
-        cycs = self.cycles()
-        if not cycs:
-            return "()"
-        return "".join("(" + " ".join(str(p) for p in c) + ")" for c in cycs)
-
-    def __repr__(self):
-        return f"Permutation[{self.degree}]{self.cycle_string()}"
-
-
-def _trusted(images: Images) -> Permutation:
-    """A Permutation built without the bijection check, for images that are one by
-    construction (elements and generators of a group, restrictions of them)."""
-    p = object.__new__(Permutation)
-    object.__setattr__(p, "images", images)
-    return p
 
 
 def compose(a: Images, b: Images) -> Images:
@@ -115,10 +57,26 @@ def cycle_type(g: Images) -> tuple[int, ...]:
     return tuple(counts)
 
 
+def cycle_string(g: Images) -> str:
+    """Cycle notation of g: its nontrivial cycles, each from its smallest point, in
+    the order of those points; ``()`` for the identity."""
+    seen = bytearray(len(g) + 1)
+    out = []
+    for start in range(1, len(g) + 1):
+        cyc, t = [], start
+        while not seen[t]:
+            seen[t] = 1
+            cyc.append(str(t))
+            t = g[t - 1]
+        if len(cyc) > 1:
+            out.append("(" + " ".join(cyc) + ")")
+    return "".join(out) or "()"
+
+
 _CYCLE_RE = re.compile(r"\(([^()]*)\)")
 
 
-def perm_from_cycles(text: str, degree: int) -> Permutation:
+def perm_from_cycles(text: str, degree: int) -> Images:
     """Parse disjoint cycle notation like ``(1 2 3)(4 5)``; omitted points are fixed."""
     stripped = text.strip()
     if _CYCLE_RE.sub("", stripped).strip():
@@ -141,24 +99,23 @@ def perm_from_cycles(text: str, degree: int) -> Permutation:
             used.add(p)
         for i, p in enumerate(points):
             images[p - 1] = points[(i + 1) % len(points)]
-    return Permutation(tuple(images))
+    return tuple(images)
 
 
 def _right_mul(g: Images) -> Callable[[Images], Images]:
-    """The map e -> e * g on image tuples (g applied first)."""
-    if len(g) == 1:
-        return lambda e: e
+    """The map e -> e * g on image tuples (g applied first); g has degree >= 2, as no
+    closure keeps a degree-1 generator, the identity."""
     return itemgetter(*[t - 1 for t in g])
 
 
 class PermGroup:
     """A permutation group given by its full element list, identity first.
 
-    ``images`` holds the elements as image tuples and ``image_index`` maps each
-    to its position; ``generators`` names the generators as ``Permutation``
-    objects.  ``right[k][i]`` is the index of ``images[i] * generators[k]``.
-    The constructor takes image tuples and builds the index and the table when
-    they are not given.
+    ``images`` holds the elements and ``generators`` the generators, all as
+    image tuples, and ``image_index`` maps each element to its position.
+    ``right[k][i]`` is the index of ``images[i] * generators[k]``, so
+    ``right[k][0]`` is the index of generator k.  The constructor builds the
+    index and the table when they are not given.
     """
 
     def __init__(self, degree: int, images: Sequence[Images], generators: Sequence[Images],
@@ -166,7 +123,7 @@ class PermGroup:
                  right: list[array] | None = None):
         self.degree = degree
         self.images = tuple(images)
-        self.generators = tuple(map(_trusted, generators))
+        self.generators = tuple(generators)
         if not self.images or self.images[0] != tuple(range(1, degree + 1)):
             raise ValueError("element list must start with the identity")
         if image_index is None:
@@ -184,12 +141,6 @@ class PermGroup:
     @property
     def order(self) -> int:
         return len(self.images)
-
-    def __contains__(self, p: Permutation) -> bool:
-        return p.images in self.image_index
-
-    def index(self, p: Permutation) -> int:
-        return self.image_index[p.images]
 
     def __eq__(self, other):
         if not isinstance(other, PermGroup):
@@ -278,24 +229,23 @@ def _bfs_order(generators: Sequence[Images], degree: int, caps: Caps
     return order, index, [row for _, row in steps]
 
 
-def group_closure(generators: Iterable[Permutation], degree: int | None = None,
+def group_closure(generators: Iterable[Images], degree: int | None = None,
                   caps: Caps = DEFAULT_CAPS) -> PermGroup:
     """Smallest group containing the generators, elements in BFS order from the identity."""
-    gens = list(dict.fromkeys(g for g in generators if not g.is_identity()))
+    gens = list(dict.fromkeys(g for g in generators if g != tuple(range(1, len(g) + 1))))
     if gens:
-        degrees = {g.degree for g in gens}
+        degrees = {len(g) for g in gens}
         if len(degrees) != 1:
             raise ValueError(f"generators of mixed degrees {sorted(degrees)}")
-        if degree is not None and degree != gens[0].degree:
+        if degree is not None and degree != len(gens[0]):
             raise ValueError("degree does not match generators")
-        degree = gens[0].degree
+        degree = len(gens[0])
     elif degree is None:
         raise ValueError("no generators and no degree given")
     if degree < 1:
         raise ValueError("degree must be positive")
-    gen_images = [g.images for g in gens]
-    images, image_index, right = _bfs_order(gen_images, degree, caps)
-    return PermGroup(degree, images, gen_images, image_index, right)
+    images, image_index, right = _bfs_order(gens, degree, caps)
+    return PermGroup(degree, images, gens, image_index, right)
 
 
 def named_group(kind: str, d: int, caps: Caps = DEFAULT_CAPS) -> PermGroup:
@@ -307,17 +257,15 @@ def named_group(kind: str, d: int, caps: Caps = DEFAULT_CAPS) -> PermGroup:
     if kind == "symmetric":
         gens = [] if d == 1 else [perm_from_cycles("(1 2)", d)]
         if d >= 3:
-            gens.append(Permutation(tuple(list(range(2, d + 1)) + [1])))
+            gens.append(tuple(range(2, d + 1)) + (1,))
     elif kind == "alternating":
         gens = [perm_from_cycles(f"(1 2 {k})", d) for k in range(3, d + 1)]
     elif kind == "cyclic":
-        gens = [] if d == 1 else [Permutation(tuple(list(range(2, d + 1)) + [1]))]
+        gens = [] if d == 1 else [tuple(range(2, d + 1)) + (1,)]
     else:  # dihedral
         if d < 3:
             raise ValueError(f"dihedral group needs degree >= 3, got {d}")
-        rot = Permutation(tuple(list(range(2, d + 1)) + [1]))
-        refl = Permutation(tuple(range(d, 0, -1)))
-        gens = [rot, refl]
+        gens = [tuple(range(2, d + 1)) + (1,), tuple(range(d, 0, -1))]
     return group_closure(gens, degree=d, caps=caps)
 
 
@@ -330,23 +278,21 @@ def direct_product_embed(W: PermGroup, V: PermGroup, caps: Caps = DEFAULT_CAPS) 
     _check_table(W.order * V.order, d + r, caps)
     shifted = [tuple([t + d for t in tau]) for tau in V.images]
     images = [sigma + tau for sigma in W.images for tau in shifted]
-    gens = [g.images + shifted[0] for g in W.generators]
-    gens += [W.images[0] + tuple([t + d for t in g.images]) for g in V.generators]
+    gens = [g + shifted[0] for g in W.generators]
+    gens += [W.images[0] + tuple([t + d for t in g]) for g in V.generators]
     return PermGroup(d + r, images, gens)
 
 
-def split_product_element(g: Permutation, d: int, r: int) -> tuple[Permutation, Permutation]:
+def split_product_element(g: Images, d: int, r: int) -> tuple[Images, Images]:
     """(sigma, tau) with g = sigma on 1..d and d+tau(t) on d+t; raises if g does not
-    preserve the two blocks.
-
-    A bijection of 1..d+r that keeps 1..d in place restricts to bijections of
-    both blocks, so the factors are built unchecked.
-    """
-    if g.degree != d + r:
-        raise ValueError(f"degree {g.degree} != d+r = {d + r}")
-    if any(img > d for img in g.images[:d]) or any(img <= d for img in g.images[d:]):
-        raise ValueError(f"{g!r} does not preserve the blocks 1..{d} / {d + 1}..{d + r}")
-    return _trusted(g.images[:d]), _trusted(tuple([t - d for t in g.images[d:]]))
+    preserve the two blocks.  A bijection g that keeps 1..d in place restricts to
+    bijections of both blocks."""
+    if len(g) != d + r:
+        raise ValueError(f"degree {len(g)} != d+r = {d + r}")
+    if any(img > d for img in g[:d]) or any(img <= d for img in g[d:]):
+        raise ValueError(f"{cycle_string(g)} does not preserve the blocks "
+                         f"1..{d} / {d + 1}..{d + r}")
+    return g[:d], tuple([t - d for t in g[d:]])
 
 
 def wreath_embed(V: PermGroup, W: PermGroup, caps: Caps = DEFAULT_CAPS) -> PermGroup:
@@ -359,47 +305,44 @@ def wreath_embed(V: PermGroup, W: PermGroup, caps: Caps = DEFAULT_CAPS) -> PermG
     _check_table(d * len(V.generators) + len(W.generators), d * r, caps)
     start = tuple(range(1, d * r + 1))
     # v inside block b: b*r+t -> b*r+v(t), every other point fixed
-    gens = [start[:b * r] + tuple([b * r + t for t in v.images]) + start[(b + 1) * r:]
+    gens = [start[:b * r] + tuple([b * r + t for t in v]) + start[(b + 1) * r:]
             for b in range(d) for v in V.generators]
     # w moving the blocks: (s-1)r+t -> (w(s)-1)r+t
-    gens += [tuple([(s - 1) * r + t for s in w.images for t in range(1, r + 1)])
+    gens += [tuple([(s - 1) * r + t for s in w for t in range(1, r + 1)])
              for w in W.generators]
-    group = group_closure(map(_trusted, gens), degree=d * r, caps=caps)
+    group = group_closure(gens, degree=d * r, caps=caps)
     expected = V.order ** d * W.order
     if group.order != expected:
         raise AssertionError(f"wreath order {group.order} != |V|^d*|W| = {expected}")
     return group
 
 
-def decompose_wreath_element(g: Permutation, r: int, d: int,
-                             V: PermGroup, W: PermGroup
-                             ) -> tuple[Permutation, tuple[Permutation, ...]]:
+def decompose_wreath_element(g: Images, r: int, d: int,
+                             V: PermGroup, W: PermGroup) -> tuple[Images, tuple[Images, ...]]:
     """Split g in wreath(V, W) into the block permutation sigma and per-block maps.
 
     g sends (s-1)r+t to (sigma(s)-1)r+tau_s(t); returns (sigma, (tau_1,...,tau_d)).
     Once the bijection g maps every block into a single block, sigma and each
-    tau_s are bijections, so they are built unchecked; their membership in W
-    and V is still checked.
+    tau_s are bijections; their membership in W and V is checked.
     """
-    if g.degree != d * r:
-        raise ValueError(f"degree {g.degree} != d*r = {d * r}")
-    images = g.images
+    if len(g) != d * r:
+        raise ValueError(f"degree {len(g)} != d*r = {d * r}")
     sigma_images = []
     taus = []
     for s in range(d):
-        block = images[s * r:(s + 1) * r]
+        block = g[s * r:(s + 1) * r]
         target = (block[0] - 1) // r
         tau = tuple([img - target * r for img in block])
         if min(tau) < 1 or max(tau) > r:
-            raise ValueError(f"{g!r} does not map block {s + 1} into a single block")
+            raise ValueError(f"{cycle_string(g)} does not map block {s + 1} into a single block")
         sigma_images.append(target + 1)
-        taus.append(_trusted(tau))
-    sigma = _trusted(tuple(sigma_images))
-    if sigma not in W:
-        raise ValueError(f"block permutation {sigma!r} not in the top group")
+        taus.append(tau)
+    sigma = tuple(sigma_images)
+    if sigma not in W.image_index:
+        raise ValueError(f"block permutation {cycle_string(sigma)} not in the top group")
     for tau in taus:
-        if tau not in V:
-            raise ValueError(f"within-block map {tau!r} not in the block group")
+        if tau not in V.image_index:
+            raise ValueError(f"within-block map {cycle_string(tau)} not in the block group")
     return sigma, tuple(taus)
 
 
@@ -408,7 +351,7 @@ def derived_subgroup(G: PermGroup, caps: Caps = DEFAULT_CAPS) -> PermGroup:
     the pairs of generators.  That closure N lies in the normal subgroup [G,G], and the
     generators commute modulo N, so G/N is abelian and N = [G,G].  It forms only these
     #gens*(#gens-1)/2 commutators and their conjugates by the generators."""
-    gens = [g.images for g in G.generators]
+    gens = G.generators
     commutators = [compose(compose(inverse(a), inverse(b)), compose(a, b))
                    for i, a in enumerate(gens) for b in gens[i + 1:]]
     return _greedy_closure(commutators, G.degree, caps, conjugators=gens)

@@ -36,7 +36,7 @@ from math import lcm
 from .caps import Caps, CapExceeded, DEFAULT_CAPS
 from .characters import LinearCharacter, enumerate_linear_characters
 from .cyclo import Cyclotomic, CyclotomicIntegers, cyclotomic_ring
-from .perms import PermGroup, Permutation, compose, inverse
+from .perms import PermGroup, compose, cycle_string, inverse
 
 Column = dict[int, object]  # row -> nonzero element of a CyclotomicIntegers ring
 
@@ -99,19 +99,20 @@ class MonomialModule:
         for a, g in enumerate(G.images):
             for b, h in enumerate(G.images):
                 if not self._check_law(a, b, G.image_index[compose(g, h)]):
-                    raise ValueError(f"cocycle law fails at (g={Permutation(g)!r}, "
-                                     f"h={Permutation(h)!r})")
+                    raise ValueError(f"cocycle law fails at (g={cycle_string(g)}, "
+                                     f"h={cycle_string(h)})")
 
     def validate_representation(self) -> None:
         """The monomial action of g h is that of g after h, on the group generators;
-        the index of g h is read off the right-multiplication table."""
+        generator k's index and that of g h are read off the right-multiplication
+        table."""
         G = self.group
-        for g in G.generators:
-            a = G.index(g)
-            for h, row in zip(G.generators, G.right):
-                if not self._check_law(a, G.index(h), row[a]):
-                    raise ValueError(
-                        f"monomial action is not a representation at ({g!r}, {h!r})")
+        gens = [row[0] for row in G.right]
+        for a in gens:
+            for b, row in zip(gens, G.right):
+                if not self._check_law(a, b, row[a]):
+                    raise ValueError("monomial action is not a representation at "
+                                     f"({cycle_string(G.images[a])}, {cycle_string(G.images[b])})")
 
     def twist(self, alpha: LinearCharacter) -> tuple[CyclotomicIntegers, list[list[int]]]:
         """Z[zeta_m] holding alpha and gamma, and k[g][i] with alpha(g) gamma_i(g) = zeta_m^k."""
@@ -302,8 +303,8 @@ def check_annihilation(M: MonomialModule, A: SparseMatrix,
     for i in range(M.dim):
         if i not in qualifying and A.column(i):
             return False
-    for g in M.group.generators:
-        gi = M.group.index(g)
+    for row in M.group.right:
+        gi = row[0]
         for i, (j, k) in enumerate(zip(M.point_map[gi], weights[gi])):
             if not A.rotated_equals(j, k, i):
                 return False

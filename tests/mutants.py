@@ -55,6 +55,22 @@ MUTANTS = (
            "rank_of_columns(list(rep_cols.values()) + [A.column(i) for i in unproven], ring)",
            "rank_of_columns(list(rep_cols.values()), ring)",
            "tests/test_projector.py"),
+    Mutant("homomorphism-first-row-only", "characters.py",
+           "for k, row in enumerate(G.right):",
+           "for k, row in enumerate(G.right[:1]):",
+           "tests/test_characters.py"),
+    Mutant("hermite-one-euclid-step", "characters.py",
+           "        while v[i]:\n",
+           "        if v[i]:\n",
+           "tests/test_characters.py"),
+    Mutant("trace-next-slot", "projector.py",
+           "e = (P >> off) & emask",
+           "e = (P >> (off + self.stride)) & emask",
+           "tests/test_projector.py"),
+    Mutant("cycle-string-keeps-fixed-points", "perms.py",
+           "if len(cyc) > 1:",
+           "if cyc:",
+           "tests/test_perms.py"),
 )
 
 

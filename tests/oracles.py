@@ -1,22 +1,23 @@
 """Reference definitions that the tests check the package against.
 
-The package itself works on image tuples; these helpers work on
-``Permutation`` objects and plain definitions, and nothing in ``src/`` calls
-them.
+Group elements are image tuples here as in the package, ``g[s-1]`` the image
+of the point s.  These helpers are plain definitions of their own, and nothing
+in ``src/`` calls them; the cycle decomposition ``cycles`` and the cycle type
+counted from it share no code with ``src/``.
 """
 
 from fractions import Fraction
 from itertools import combinations, zip_longest
 from math import gcd, lcm
 
-from cycindex import (Cyclotomic, MonomialPoly, Permutation, PowerSumPoly, cycle_type,
+from cycindex import (Cyclotomic, MonomialPoly, PowerSumPoly, cycle_type,
                       cyclotomic_polynomial)
 from cycindex.caps import CapExceeded, DEFAULT_CAPS
 
 
 def apply_perm(sigma, point):
     """sigma . (j_1, ..., j_d) = (j_{sigma^-1(1)}, ..., j_{sigma^-1(d)}), 0-based coordinates."""
-    source = {t: s for s, t in enumerate(sigma.images)}
+    source = {t: s for s, t in enumerate(sigma)}
     return tuple(point[source[s + 1]] for s in range(len(point)))
 
 
@@ -30,15 +31,15 @@ def census_by_apply_perm(table, chi, H):
     index_WH = W.order // H.order
     records = []
     for rec in table.records:
-        remaining = {apply_perm(g, rec.rep) for g in map(Permutation, W.images)}
+        remaining = {apply_perm(g, rec.rep) for g in W.images}
         lengths = []
         while remaining:
-            h_orbit = {apply_perm(h, min(remaining)) for h in map(Permutation, H.images)}
+            h_orbit = {apply_perm(h, min(remaining)) for h in H.images}
             lengths.append(len(h_orbit))
             remaining -= h_orbit
         assert len(set(lengths)) == 1 and len(lengths) * lengths[0] == rec.size
-        stab = [g for g in map(Permutation, W.images) if apply_perm(g, rec.rep) == rec.rep]
-        h_stab_order = sum(1 for g in stab if g in H)
+        stab = [g for g in W.images if apply_perm(g, rec.rep) == rec.rep]
+        h_stab_order = sum(1 for g in stab if g in H.image_index)
         assert index_WH * (H.order // h_stab_order) == \
             rec.size * (len(stab) // h_stab_order)
         records.append((rec.rep, len(lengths), lengths[0], h_stab_order,
@@ -47,22 +48,37 @@ def census_by_apply_perm(table, chi, H):
 
 
 def identity(degree):
-    return Permutation(tuple(range(1, degree + 1)))
+    return tuple(range(1, degree + 1))
+
+
+def cycles(g):
+    """The nontrivial cycles of g, each starting at its smallest point, sorted by that point."""
+    out, seen = [], set()
+    for start in range(1, len(g) + 1):
+        if start in seen:
+            continue
+        cyc = [start]
+        while g[cyc[-1] - 1] != start:
+            cyc.append(g[cyc[-1] - 1])
+        seen.update(cyc)
+        if len(cyc) > 1:
+            out.append(tuple(cyc))
+    return out
 
 
 def cycle_type_from_cycles(sigma):
-    """(c_1,...,c_d) counted from ``Permutation.cycles``, fixed points included."""
-    d = sigma.degree
+    """(c_1,...,c_d) counted from ``cycles``, fixed points included."""
+    d = len(sigma)
     counts = [0] * d
     counts[0] = d
-    for cyc in sigma.cycles():
+    for cyc in cycles(sigma):
         counts[len(cyc) - 1] += 1
         counts[0] -= len(cyc)
     return tuple(counts)
 
 
 def perm_order(p):
-    return lcm(*map(len, p.cycles()))
+    return lcm(*map(len, cycles(p)))
 
 
 def same_character(chi, psi):
@@ -134,8 +150,8 @@ def reconstruct_wreath_element(sigma, taus, r, d):
     images = [0] * (d * r)
     for s in range(1, d + 1):
         for t in range(1, r + 1):
-            images[(s - 1) * r + t - 1] = (sigma(s) - 1) * r + taus[s - 1](t)
-    return Permutation(tuple(images))
+            images[(s - 1) * r + t - 1] = (sigma[s - 1] - 1) * r + taus[s - 1][t - 1]
+    return tuple(images)
 
 
 def monomial_mul(a, b, caps=DEFAULT_CAPS):

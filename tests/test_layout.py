@@ -42,13 +42,8 @@ ALLOWED = {
     "polys.py:_SparsePoly.__repr__": "debugging aid",
     "perms.py:PermGroup.__repr__": "debugging aid",
     "characters.py:LinearCharacter.__repr__": "debugging aid",
-    "perms.py:Permutation.__repr__": "prints elements in errors that only a broken "
-                                     "group or character table raises",
     "cyclo.py:CyclotomicIntegers.__init__.<locals>.mul": ELIMINATION,
     "cyclo.py:CyclotomicIntegers.__init__.<locals>.sub": ELIMINATION,
-    "perms.py:_right_mul.<locals>.<lambda>": "a degree-1 generator is the identity, which "
-                                             "no closure keeps; only a PermGroup built "
-                                             "by hand has one",
 }
 
 # the jobs of the catalog file: tampered jobs (one printing values in Q(zeta_3), one

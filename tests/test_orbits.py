@@ -10,7 +10,7 @@ from cycindex import orbits
 from cycindex.caps import CapExceeded, Caps
 from cycindex.cli import EXIT_CAP, JobSpec, run
 from cycindex.orbits import action_table, census_json, census_tsv
-from cycindex.perms import PermGroup, Permutation
+from cycindex.perms import PermGroup
 from oracles import (apply_perm, census_by_apply_perm, evaluate_all_ones, rational,
                      same_character)
 
@@ -26,7 +26,7 @@ def orbit_count_by_canonical_forms(W, n):
     """Second oracle: count distinct lex-min forms over all points."""
     reps = set()
     for p in product(range(n + 1), repeat=W.degree):
-        reps.add(min(apply_perm(g, p) for g in map(Permutation, W.images)))
+        reps.add(min(apply_perm(g, p) for g in W.images))
     return len(reps)
 
 
@@ -64,7 +64,7 @@ class TestEnumerateOrbits:
 
     def test_reps_are_lex_minimal(self, V4):
         for r in enumerate_orbits(V4, 2).records:
-            assert r.rep == min(apply_perm(g, r.rep) for g in map(Permutation, V4.images))
+            assert r.rep == min(apply_perm(g, r.rep) for g in V4.images)
 
     def test_work_cap(self, S4):
         with pytest.raises(CapExceeded):
@@ -106,9 +106,9 @@ class TestChiOrbits:
         chi = enumerate_linear_characters(C4)[1]
         for rec in full_census(C4, chi, 1).records:
             flags = set()
-            for g in map(Permutation, C4.images):
+            for g in C4.images:
                 point = apply_perm(g, rec.rep)
-                stab = [h for h in map(Permutation, C4.images) if apply_perm(h, point) == point]
+                stab = [h for h in C4.images if apply_perm(h, point) == point]
                 flags.add(all(chi.exponent(h) == 0 for h in stab))
             assert flags == {rec.is_chi_orbit}
 
@@ -152,7 +152,7 @@ class TestDegreeOne:
         assert W.degree == 1 and W.order == 1
         table = enumerate_orbits(W, n)
         assert [(r.rep, r.size, r.stabilizer) for r in table.records] == \
-            [((j,), 1, tuple(k for k, g in enumerate(map(Permutation, W.images))
+            [((j,), 1, tuple(k for k, g in enumerate(W.images)
                              if apply_perm(g, (j,)) == (j,)))
              for j in range(n + 1)]
         chi = unit_character(W)
@@ -338,7 +338,7 @@ class TestActionTable:
         point = tuple(range(10, 10 + d))  # distinct coordinates pin every row entry
         rows = action_table(G)
         assert len(rows) == G.order
-        for row, g in zip(rows, map(Permutation, G.images)):
+        for row, g in zip(rows, G.images):
             assert tuple([point[i] for i in row]) == apply_perm(g, point)
 
     @pytest.mark.parametrize("reordered", [False, True])
@@ -348,7 +348,7 @@ class TestActionTable:
         if reordered:
             W = PermGroup.from_elements(reversed(W.images))
         for rec in enumerate_orbits(W, n).records:
-            assert rec.stabilizer == tuple(k for k, g in enumerate(map(Permutation, W.images))
+            assert rec.stabilizer == tuple(k for k, g in enumerate(W.images)
                                            if apply_perm(g, rec.rep) == rec.rep)
 
 

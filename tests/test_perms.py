@@ -1,20 +1,22 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from cycindex import (PermGroup, Permutation, compose, cycle_type,
+from cycindex import (PermGroup, compose, cycle_string, cycle_type,
                       decompose_wreath_element, derived_subgroup,
                       direct_product_embed, group_closure, inverse, named_group,
                       perm_from_cycles, wreath_embed)
 from cycindex.caps import CapExceeded, Caps
+from cycindex.characters import kernel, sign_character
+from cycindex.cli import EXIT_OK, JobSpec, run
 from cycindex.grammar import parse_group
 from cycindex.perms import split_product_element
-from oracles import (cycle_type_from_cycles, identity, perm_order,
+from oracles import (cycle_type_from_cycles, cycles, identity, perm_order,
                      reconstruct_wreath_element)
 
 
 def naive_closure(generators, degree):
     """Oracle: repeated pairwise multiplication of image tuples to a fixpoint."""
-    elems = {identity(degree).images, *(g.images for g in generators)}
+    elems = {identity(degree), *generators}
     while True:
         new = {compose(a, b) for a in elems for b in elems} - elems
         if not new:
@@ -23,15 +25,14 @@ def naive_closure(generators, degree):
 
 
 perms = st.integers(min_value=1, max_value=6).flatmap(
-    lambda d: st.permutations(list(range(1, d + 1))).map(
-        lambda images: Permutation(tuple(images))))
+    lambda d: st.permutations(list(range(1, d + 1))).map(tuple))
 
 
 class TestPermutation:
     def test_from_cycles(self):
-        assert perm_from_cycles("(1 2 3)", 3).images == (2, 3, 1)
-        assert perm_from_cycles("", 4).images == (1, 2, 3, 4)
-        assert perm_from_cycles("(1 2)(3 4)", 4).images == (2, 1, 4, 3)
+        assert perm_from_cycles("(1 2 3)", 3) == (2, 3, 1)
+        assert perm_from_cycles("", 4) == (1, 2, 3, 4)
+        assert perm_from_cycles("(1 2)(3 4)", 4) == (2, 1, 4, 3)
 
     @pytest.mark.parametrize("text,degree", [
         ("(1 2)(2 3)", 3),      # repeated point
@@ -46,59 +47,72 @@ class TestPermutation:
     def test_compose_applies_right_factor_first(self):
         a = perm_from_cycles("(1 2)", 3)
         b = perm_from_cycles("(2 3)", 3)
-        assert compose(a.images, b.images) == (2, 3, 1)
+        assert compose(a, b) == (2, 3, 1)
 
     def test_compose_degree_mismatch(self):
         with pytest.raises(ValueError):
-            compose(identity(2).images, identity(3).images)
+            compose(identity(2), identity(3))
 
     @given(perms)
     def test_identity_and_inverse_laws(self, p):
-        e = identity(p.degree).images
-        assert compose(p.images, e) == p.images
-        assert compose(e, p.images) == p.images
-        assert compose(p.images, inverse(p.images)) == e
+        e = identity(len(p))
+        assert compose(p, e) == p
+        assert compose(e, p) == p
+        assert compose(p, inverse(p)) == e
 
     @given(perms.flatmap(lambda p: st.tuples(
         st.just(p),
-        st.permutations(list(range(1, p.degree + 1))),
-        st.permutations(list(range(1, p.degree + 1))))))
+        st.permutations(list(range(1, len(p) + 1))),
+        st.permutations(list(range(1, len(p) + 1))))))
     def test_compose_associative(self, triple):
         a, bi, ci = triple
         b, c = tuple(bi), tuple(ci)
-        assert compose(compose(a.images, b), c) == compose(a.images, compose(b, c))
+        assert compose(compose(a, b), c) == compose(a, compose(b, c))
 
     @given(perms.flatmap(lambda p: st.tuples(
-        st.just(p), st.permutations(list(range(1, p.degree + 1))))))
-    def test_products_and_inverses_match_checked_construction(self, pair):
-        # compose and inverse build image tuples with no bijection check; their
-        # results must behave exactly like permutations built through the checked constructor
+        st.just(p), st.permutations(list(range(1, len(p) + 1))))))
+    def test_products_and_inverses_are_bijections_in_the_group(self, pair):
+        # compose and inverse build image tuples with no bijection check
         a, bi = pair
-        b = Permutation(tuple(bi))
-        group = group_closure([a, b], degree=a.degree)
-        for built in (compose(a.images, b.images), inverse(a.images)):
-            checked = Permutation(tuple(built))
-            assert built == checked.images and hash(built) == hash(checked.images)
-            assert built in group.image_index and checked in group
-            assert group.image_index[built] == group.index(checked)
-        odd = tuple(range(1, a.degree + 2))
+        b = tuple(bi)
+        group = group_closure([a, b], degree=len(a))
+        for built in (compose(a, b), inverse(a)):
+            assert sorted(built) == list(identity(len(a)))
+            assert built in group.image_index
+        odd = tuple(range(1, len(a) + 2))
         with pytest.raises(ValueError):
-            compose(a.images, odd)
+            compose(a, odd)
         with pytest.raises(ValueError):
-            compose(odd, a.images)
+            compose(odd, a)
 
     def test_cycle_type(self):
-        assert cycle_type(identity(3).images) == (3, 0, 0)
-        assert cycle_type(perm_from_cycles("(1 2 3 4)", 4).images) == (0, 0, 0, 1)
-        assert cycle_type(perm_from_cycles("(1 2)(3 4)", 4).images) == (0, 2, 0, 0)
+        assert cycle_type(identity(3)) == (3, 0, 0)
+        assert cycle_type(perm_from_cycles("(1 2 3 4)", 4)) == (0, 0, 0, 1)
+        assert cycle_type(perm_from_cycles("(1 2)(3 4)", 4)) == (0, 2, 0, 0)
 
     @given(perms)
     def test_cycle_type_is_a_partition(self, p):
-        assert sum(s * c for s, c in enumerate(cycle_type(p.images), start=1)) == p.degree
+        assert sum(s * c for s, c in enumerate(cycle_type(p), start=1)) == len(p)
 
     @given(perms)
     def test_cycle_type_matches_the_cycles_reference(self, p):
-        assert cycle_type(p.images) == cycle_type_from_cycles(p)
+        assert cycle_type(p) == cycle_type_from_cycles(p)
+
+    def test_cycle_string(self):
+        assert cycle_string(perm_from_cycles("(3 1)(2 4 5)", 5)) == "(1 3)(2 4 5)"
+        # the identity prints as "()", which the parser rejects as an empty cycle
+        assert cycle_string(identity(3)) == cycle_string((1,)) == "()"
+        assert perm_from_cycles("", 3) == identity(3)
+        with pytest.raises(ValueError, match="empty cycle"):
+            perm_from_cycles("()", 3)
+
+    @given(st.integers(min_value=1, max_value=8).flatmap(
+        lambda d: st.permutations(list(range(1, d + 1))).map(tuple)))
+    def test_cycle_string_round_trips_and_matches_the_cycles_reference(self, g):
+        text = cycle_string(g)
+        assert text == ("".join("(" + " ".join(map(str, c)) + ")" for c in cycles(g)) or "()")
+        if g != identity(len(g)):
+            assert perm_from_cycles(text, len(g)) == g
 
 
 class TestClosure:
@@ -120,7 +134,7 @@ class TestClosure:
     def test_closure_is_idempotent(self, S3):
         again = PermGroup.from_elements(S3.images)
         assert set(again.images) == set(S3.images)
-        assert group_closure(map(Permutation, S3.images)).order == S3.order
+        assert group_closure(S3.images).order == S3.order
 
     def test_group_order_cap_boundary(self):
         gens = [perm_from_cycles("(1 2)", 3), perm_from_cycles("(1 2 3)", 3)]
@@ -148,7 +162,7 @@ class TestClosure:
         ["", "(1 2)", "(2 3)"],  # not closed under composition
     ])
     def test_from_elements_rejects_non_groups(self, cycles):
-        elements = [perm_from_cycles(c, 3).images for c in cycles]
+        elements = [perm_from_cycles(c, 3) for c in cycles]
         with pytest.raises(ValueError):
             PermGroup.from_elements(elements)
 
@@ -157,7 +171,7 @@ class TestClosure:
         assert G.images == group_closure(G.generators, degree=4).images
 
     def test_identity_comes_first(self, S4):
-        assert Permutation(S4.images[0]).is_identity()
+        assert S4.images[0] == identity(4)
 
     def test_deterministic_element_order(self):
         gens = [perm_from_cycles("(1 2)", 3), perm_from_cycles("(1 2 3)", 3)]
@@ -168,13 +182,13 @@ class TestClosure:
 
 def frontier_bfs_oracle(generators, degree):
     """The element order of a breadth-first walk on image tuples, frontier by frontier."""
-    start = identity(degree).images
+    start = identity(degree)
     order, seen, frontier = [start], {start}, [start]
     while frontier:
         nxt = []
         for e in frontier:
             for g in generators:
-                p = compose(e, g.images)
+                p = compose(e, g)
                 if p not in seen:
                     seen.add(p)
                     order.append(p)
@@ -193,23 +207,25 @@ TABLE_GROUPS = {
                                                          named_group("cyclic", 4)),
     "wreath_embed": lambda: wreath_embed(named_group("symmetric", 2), named_group("cyclic", 3)),
     "constructor": lambda: _identity_then_reversed(named_group("symmetric", 3)),
+    "kernel": lambda: kernel(sign_character(parse_group("wreath(S(3),S(2))").group)),
 }
 
 
 def _identity_then_reversed(G):
-    """G from its element list in an order no BFS gives; the table is built on first use."""
-    return PermGroup(G.degree, G.images[:1] + G.images[:0:-1], [g.images for g in G.generators])
+    """G from its element list in an order no BFS gives; the constructor builds the table."""
+    return PermGroup(G.degree, G.images[:1] + G.images[:0:-1], G.generators)
 
 
 class TestRightTable:
     @pytest.mark.parametrize("name", sorted(TABLE_GROUPS))
     def test_entries_are_products_with_generators(self, name):
         G = TABLE_GROUPS[name]()
-        assert len(G.right) == len(G.generators)
+        assert len(G.right) == len(G.generators) > 0
         for k, row in enumerate(G.right):
+            assert row[0] == G.image_index[G.generators[k]]  # column 0 indexes generator k
             assert len(row) == G.order and row.itemsize <= 8
             for i in range(G.order):
-                assert row[i] == G.image_index[compose(G.images[i], G.generators[k].images)]
+                assert row[i] == G.image_index[compose(G.images[i], G.generators[k])]
 
     @pytest.mark.parametrize("expr", ["S(5)", "A(5)", "D(6)", "C(7)", "wreath(S(2),S(3))",
                                       "gen[6]{(1 2 3)(4 5),(1 4)(2 6)}"])
@@ -219,7 +235,15 @@ class TestRightTable:
 
     def test_element_list_not_closed_under_generators(self):
         with pytest.raises(ValueError, match="not closed"):
-            PermGroup(3, [identity(3).images], [perm_from_cycles("(1 2)", 3).images])
+            PermGroup(3, [identity(3)], [perm_from_cycles("(1 2)", 3)])
+
+    def test_degree_one_generator_fails_closed(self):
+        # no construction route gives a degree-1 group a generator: the identity is dropped
+        with pytest.raises(ValueError, match="not closed"):
+            PermGroup(1, [(1,)], [(1,)])
+        for expr in ("S(1)", "gen[1]{(1)}"):
+            assert parse_group(expr).group.generators == ()
+            assert run(JobSpec("characters", expr))[0] == EXIT_OK
 
 
 class TestNamedGroups:
@@ -241,7 +265,7 @@ class TestNamedGroups:
             named_group("dihedral", 2)
 
     def test_element_orders_divide_group_order(self, A4):
-        for g in map(Permutation, A4.images):
+        for g in A4.images:
             assert A4.order % perm_order(g) == 0
 
 
@@ -251,7 +275,7 @@ class TestEmbeddings:
         p = direct_product_embed(s2, s2)
         assert p.degree == 4 and p.order == 4
         expected = {perm_from_cycles(t, 4) for t in ["", "(1 2)", "(3 4)", "(1 2)(3 4)"]}
-        assert set(map(Permutation, p.images)) == expected
+        assert set(p.images) == expected
 
     def test_trivial_times_trivial(self):
         t = named_group("cyclic", 1)
@@ -295,9 +319,9 @@ class TestEmbeddings:
         s2 = named_group("symmetric", 2)
         c3 = named_group("cyclic", 3)
         w = wreath_embed(s2, c3)
-        for g in map(Permutation, w.images):
+        for g in w.images:
             sigma, taus = decompose_wreath_element(g, 2, 3, s2, c3)
-            assert sigma in c3 and all(t in s2 for t in taus)
+            assert sigma in c3.image_index and all(t in s2.image_index for t in taus)
             assert reconstruct_wreath_element(sigma, taus, 2, 3) == g
 
     def test_wreath_generator_decompositions(self):
@@ -306,10 +330,10 @@ class TestEmbeddings:
         block1 = perm_from_cycles("(1 2)", 4)
         swap = perm_from_cycles("(1 3)(2 4)", 4)
         sigma, taus = decompose_wreath_element(block1, 2, 2, s2, s2)
-        assert sigma.is_identity() and taus[0].images == (2, 1) and taus[1].is_identity()
+        assert (sigma, taus) == ((1, 2), ((2, 1), (1, 2)))
         sigma, taus = decompose_wreath_element(swap, 2, 2, s2, s2)
-        assert sigma.images == (2, 1) and all(t.is_identity() for t in taus)
-        assert block1 in w and swap in w
+        assert (sigma, taus) == ((2, 1), ((1, 2), (1, 2)))
+        assert block1 in w.image_index and swap in w.image_index
 
     def test_decompose_rejects_block_breakers(self):
         s2 = named_group("symmetric", 2)
@@ -328,17 +352,16 @@ class TestEmbeddings:
         with pytest.raises(ValueError, match="not in the block group"):
             decompose_wreath_element(perm_from_cycles("(4 5)", 6), 3, 2, a3, s2)
 
-    def test_unchecked_factors_are_permutations(self):
+    def test_factors_are_members_of_the_factor_groups(self):
         V, W = named_group("symmetric", 3), named_group("symmetric", 2)
-        for g in map(Permutation, wreath_embed(V, W).images):
+        for g in wreath_embed(V, W).images:
             sigma, taus = decompose_wreath_element(g, 3, 2, V, W)
-            for factor in (sigma, *taus):
-                assert Permutation(factor.images) == factor
+            assert sigma in W.image_index and all(tau in V.image_index for tau in taus)
         P = direct_product_embed(V, W)
-        for g in map(Permutation, P.images):
+        for g in P.images:
             sigma, tau = split_product_element(g, 3, 2)
-            assert (Permutation(sigma.images), Permutation(tau.images)) == (sigma, tau)
-            assert sigma in V and tau in W
+            assert sigma in V.image_index and tau in W.image_index
+            assert sigma + tuple(t + 3 for t in tau) == g
 
     @pytest.mark.parametrize("w_kind,w_d", [("symmetric", 3), ("cyclic", 4), ("dihedral", 4)])
     @pytest.mark.parametrize("v_kind,v_d", [("symmetric", 3), ("cyclic", 4), ("dihedral", 4)])
@@ -348,13 +371,13 @@ class TestEmbeddings:
         d, r = W.degree, V.degree
         expected = []
         for w in W.generators:
-            images = {s: w(s) for s in range(1, d + 1)}
+            images = {s: w[s - 1] for s in range(1, d + 1)}
             images.update({d + t: d + t for t in range(1, r + 1)})
-            expected.append(Permutation(tuple(images[s] for s in range(1, d + r + 1))))
+            expected.append(tuple(images[s] for s in range(1, d + r + 1)))
         for v in V.generators:
             images = {s: s for s in range(1, d + 1)}
-            images.update({d + t: d + v(t) for t in range(1, r + 1)})
-            expected.append(Permutation(tuple(images[s] for s in range(1, d + r + 1))))
+            images.update({d + t: d + v[t - 1] for t in range(1, r + 1)})
+            expected.append(tuple(images[s] for s in range(1, d + r + 1)))
         assert list(direct_product_embed(W, V).generators) == expected
 
     @pytest.mark.parametrize("w_kind,w_d", [("symmetric", 3), ("cyclic", 4)])
@@ -369,12 +392,12 @@ class TestEmbeddings:
         for b in range(1, d + 1):
             for v in V.generators:
                 images = {s: s for s in points}
-                images.update({(b - 1) * r + t: (b - 1) * r + v(t) for t in range(1, r + 1)})
-                expected.append(Permutation(tuple(images[s] for s in points)))
+                images.update({(b - 1) * r + t: (b - 1) * r + v[t - 1] for t in range(1, r + 1)})
+                expected.append(tuple(images[s] for s in points))
         for w in W.generators:
-            images = {(s - 1) * r + t: (w(s) - 1) * r + t
+            images = {(s - 1) * r + t: (w[s - 1] - 1) * r + t
                       for s in range(1, d + 1) for t in range(1, r + 1)}
-            expected.append(Permutation(tuple(images[s] for s in points)))
+            expected.append(tuple(images[s] for s in points))
         assert list(wreath_embed(V, W).generators) == expected
 
     def test_split_rejects_block_breakers_and_wrong_degrees(self):
@@ -386,7 +409,7 @@ class TestEmbeddings:
 
 class TestDerivedSubgroup:
     def commutator_oracle(self, G):
-        comms = {Permutation(compose(compose(inverse(g), inverse(h)), compose(g, h)))
+        comms = {compose(compose(inverse(g), inverse(h)), compose(g, h))
                  for g in G.images for h in G.images}
         return naive_closure(comms, G.degree)
 

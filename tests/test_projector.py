@@ -5,7 +5,7 @@ from math import comb
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cycindex import (Cyclotomic, MonomialModule, PermGroup, Permutation, build_projector,
+from cycindex import (Cyclotomic, MonomialModule, PermGroup, build_projector,
                       check_annihilation, enumerate_linear_characters,
                       index_set_J, named_group, random_gamma_family,
                       sign_character, unit_character, verify_basis_prop)
@@ -110,7 +110,7 @@ class TestPointMap:
         points = list(iter_product(range(n + 1), repeat=G.degree))
         lex = {p: i for i, p in enumerate(points)}
         assert module_points(M) == points and len(M.point_map) == G.order
-        for g, row in zip(map(Permutation, G.images), M.point_map):
+        for g, row in zip(G.images, M.point_map):
             images = [apply_perm(g, p) for p in points]
             assert row == [lex[q] for q in images], g
             assert [module_index(M, q) for q in images] == row, g
@@ -144,7 +144,7 @@ class TestDefinitionOracle:
     def _definition(M, alpha):
         G = M.group
         expected = {}
-        for gi, g in enumerate(map(Permutation, G.images)):
+        for gi, g in enumerate(G.images):
             for c, point in enumerate(module_points(M)):
                 r = module_index(M, apply_perm(g, point))
                 gamma = (Cyclotomic.one() if M.gamma is None else
