@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 
 class CapExceeded(RuntimeError):
@@ -26,9 +26,8 @@ _ENV_NAMES = {
 }
 
 
-def caps_from_env(base: Caps | None = None) -> Caps:
+def caps_from_env() -> Caps:
     """Caps overridden by the CYCINDEX_*_CAP variables; ValueError if one is malformed."""
-    caps = base or Caps()
     overrides = {}
     for field_name, env_name in _ENV_NAMES.items():
         raw = os.environ.get(env_name)
@@ -36,7 +35,7 @@ def caps_from_env(base: Caps | None = None) -> Caps:
             if not raw.strip().isdecimal():
                 raise ValueError(f"{env_name} must be a nonnegative integer, got {raw!r}")
             overrides[field_name] = int(raw)
-    return replace(caps, **overrides)
+    return Caps(**overrides)
 
 
 DEFAULT_CAPS = Caps()

@@ -214,42 +214,36 @@ def _run_plethysm(spec: JobSpec, group_spec: GroupSpec,
     return (EXIT_OK if equal else EXIT_MISMATCH), "\n".join(lines) + "\n"
 
 
-def _catalog_job_problem(job: dict) -> str | None:
-    """What is wrong with the fields of one catalog job, or None."""
+def job_spec(job: dict, caps: Caps = DEFAULT_CAPS) -> JobSpec:
+    """The JobSpec of one catalog job; SpecError names a malformed field."""
+    def refuse(problem: str) -> SpecError:
+        return SpecError(f"catalog job {problem}: {job!r}")
     if not isinstance(job.get("command"), str):
-        return "without a command"
+        raise refuse("without a command")
     if "n" in job and (type(job["n"]) is not int or job["n"] < 0):
-        return "with n not a nonnegative integer"
+        raise refuse("with n not a nonnegative integer")
     for key in ("group", "char", "group2", "char2"):
         if key in job and not isinstance(job[key], str):
-            return f"with {key} not a string"
+            raise refuse(f"with {key} not a string")
     tamper = job.get("tamper_character", False)
     if type(tamper) is not bool:
-        return "with tamper_character not a boolean"
+        raise refuse("with tamper_character not a boolean")
     if tamper and job["command"] != "verify":
-        return "with tamper_character on a command other than verify"
-    return None
+        raise refuse("with tamper_character on a command other than verify")
+    return JobSpec(command=job["command"], group_expr=job.get("group", ""),
+                   char_sel=job.get("char", "unit"), n=job.get("n"),
+                   group2_expr=job.get("group2"), char2_sel=job.get("char2"),
+                   caps=caps, tamper=tamper)
 
 
 def run_suite(jobs: list[dict], caps: Caps, fmt: str = "text") -> tuple[int, str]:
     """Run every catalog job; aggregate failures, outputs in catalog order."""
     if not jobs:
         return EXIT_USAGE, "usage error: the catalog is empty\n"
-    specs = []
-    for job in jobs:
-        problem = _catalog_job_problem(job)
-        if problem is not None:
-            return EXIT_USAGE, f"usage error: catalog job {problem}: {job!r}\n"
-        specs.append(JobSpec(
-            command=job["command"],
-            group_expr=job.get("group", ""),
-            char_sel=job.get("char", "unit"),
-            n=job.get("n"),
-            group2_expr=job.get("group2"),
-            char2_sel=job.get("char2"),
-            caps=caps,
-            tamper=job.get("tamper_character", False),
-        ))
+    try:
+        specs = [job_spec(job, caps) for job in jobs]
+    except SpecError as exc:
+        return EXIT_USAGE, f"usage error: {exc}\n"
     lines = []
     summary = []
     worst = EXIT_OK

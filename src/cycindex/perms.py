@@ -77,7 +77,8 @@ _CYCLE_RE = re.compile(r"\(([^()]*)\)")
 
 
 def perm_from_cycles(text: str, degree: int) -> Images:
-    """Parse disjoint cycle notation like ``(1 2 3)(4 5)``; omitted points are fixed."""
+    """Parse disjoint cycle notation like ``(1 2 3)(4 5)``; omitted points are fixed,
+    and an empty cycle, such as the identity's ``()``, moves nothing."""
     stripped = text.strip()
     if _CYCLE_RE.sub("", stripped).strip():
         raise ValueError(f"malformed cycle notation: {text!r}")
@@ -85,8 +86,6 @@ def perm_from_cycles(text: str, degree: int) -> Images:
     used: set[int] = set()
     for body in _CYCLE_RE.findall(stripped):
         entries = body.replace(",", " ").split()
-        if not entries:
-            raise ValueError(f"empty cycle in {text!r}")
         try:
             points = [int(e) for e in entries]
         except ValueError:

@@ -186,40 +186,32 @@ def cycle_index(G: PermGroup, chi: LinearCharacter) -> PowerSumPoly:
 def specialize(Z: PowerSumPoly, n: int, caps: Caps = DEFAULT_CAPS) -> MonomialPoly:
     """Substitute p_s -> x_0^s + ... + x_n^s and expand exactly.
 
-    A term's product of power sums is expanded one factor p_s at a time, s
-    ascending, as int counts of exponent vectors.  ``stack[k]`` holds the
-    expansion of the first k factors of the previous term, so the prefix two
-    consecutive terms share is expanded once.  Each count scales the term's int
-    coefficient over the common denominator D of Z, and the products are summed in
-    ``sorted_terms`` order, the order that fixes the conductor of a non-rational sum.
+    Each term's product of power sums is expanded from the constant monomial,
+    one factor p_s at a time, s ascending, as int counts of exponent vectors.
+    Each count scales the term's int coefficient over the common denominator D
+    of Z, and the products are summed in ``sorted_terms`` order, the order that
+    fixes the conductor of a non-rational sum.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
     check_monomial_cap(Z.weight, n, caps)
     nvars = n + 1
-    stack: list[dict[tuple[int, ...], int]] = [{(0,) * nvars: 1}]
-    factors: list[int] = []
     acc: dict[tuple[int, ...], tuple] = {}
     D = lcm(1, *[coeff.den for coeff in Z.terms.values()])
     for exps, coeff in Z.sorted_terms():
         conductor, ring = coeff.conductor, cyclotomic_ring(coeff.conductor)
         value = ring.scale(coeff.num, D // coeff.den)
-        term_factors = [s for s, c in enumerate(exps, start=1) for _ in range(c)]
-        pairs = list(zip(factors, term_factors))
-        shared = next((i for i, (a, b) in enumerate(pairs) if a != b), len(pairs))
-        del stack[shared + 1:]
-        for s in term_factors[shared:]:
-            base = stack[-1]
-            if len(base) * nvars > caps.specialize_terms:
+        counts: dict[tuple[int, ...], int] = {(0,) * nvars: 1}
+        for s in [s for s, c in enumerate(exps, start=1) for _ in range(c)]:
+            if len(counts) * nvars > caps.specialize_terms:
                 raise CapExceeded("monomial product exceeds the term cap")
             expanded: dict[tuple[int, ...], int] = {}
-            for key, count in base.items():
+            for key, count in counts.items():
                 for i in range(nvars):
                     moved = key[:i] + (key[i] + s,) + key[i + 1:]
                     expanded[moved] = expanded.get(moved, 0) + count
-            stack.append(expanded)
-        factors = term_factors
-        for key, count in stack[-1].items():
+            counts = expanded
+        for key, count in counts.items():
             prev = acc.get(key)
             item = conductor, ring.scale(value, count)
             acc[key] = item if prev is None else add_at_conductors(*prev, *item)

@@ -71,6 +71,14 @@ MUTANTS = (
            "if len(cyc) > 1:",
            "if cyc:",
            "tests/test_perms.py"),
+    Mutant("catalog-tamper-not-bool", "cli.py",
+           "if type(tamper) is not bool:",
+           "if tamper is None:",
+           "tests/test_cli.py"),
+    Mutant("census-tsv-flag-capitalised", "orbits.py",
+           "str(rec.is_chi_orbit).lower(),",
+           "str(rec.is_chi_orbit),",
+           "tests/test_pins.py"),
 )
 
 

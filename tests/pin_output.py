@@ -3,7 +3,7 @@
     PYTHONPATH=src python tests/pin_output.py characters --group 'S(3)' --format json
 
 runs ``cycindex.cli.main`` on ARGV with the ``CYCINDEX_*_CAP`` variables
-removed, as ``test_reference.py`` does, and prints one
+removed, as ``test_pins.py`` does, and prints one
 ``{"argv", "exit", "stdout"}`` object in the layout of the ``jobs`` list.  It
 never writes the reference file: paste the object in by hand, and only from a
 commit whose output is known to be right.

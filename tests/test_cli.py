@@ -43,6 +43,13 @@ class TestGroupGrammar:
         spec = parse_group("gen[2]{}")
         assert spec.group.order == 1 and spec.group.degree == 2
 
+    def test_identity_is_read_back_as_printed(self):
+        # cycle_string prints the identity as "()", in generators and in vals{} keys
+        assert parse_group("gen[3]{()}").group.order == 1
+        spec = parse_group("gen[3]{(),(1 2)}")
+        assert spec.group.order == 2
+        assert parse_character("vals{():0,(1 2):1}", spec).image_order() == 2
+
 
 class TestCharacterGrammar:
     def test_unit_sign_index(self):

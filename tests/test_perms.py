@@ -100,19 +100,17 @@ class TestPermutation:
 
     def test_cycle_string(self):
         assert cycle_string(perm_from_cycles("(3 1)(2 4 5)", 5)) == "(1 3)(2 4 5)"
-        # the identity prints as "()", which the parser rejects as an empty cycle
+        # the identity prints as "()", which the parser reads back; an empty cycle moves nothing
         assert cycle_string(identity(3)) == cycle_string((1,)) == "()"
-        assert perm_from_cycles("", 3) == identity(3)
-        with pytest.raises(ValueError, match="empty cycle"):
-            perm_from_cycles("()", 3)
+        assert perm_from_cycles("", 3) == perm_from_cycles("()", 3) == identity(3)
+        assert perm_from_cycles("()(1 2)()", 3) == (2, 1, 3)
 
     @given(st.integers(min_value=1, max_value=8).flatmap(
         lambda d: st.permutations(list(range(1, d + 1))).map(tuple)))
     def test_cycle_string_round_trips_and_matches_the_cycles_reference(self, g):
         text = cycle_string(g)
         assert text == ("".join("(" + " ".join(map(str, c)) + ")" for c in cycles(g)) or "()")
-        if g != identity(len(g)):
-            assert perm_from_cycles(text, len(g)) == g
+        assert perm_from_cycles(text, len(g)) == g
 
 
 class TestClosure:
