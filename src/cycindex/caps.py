@@ -3,15 +3,14 @@
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
 class CapExceeded(RuntimeError):
     """A requested computation exceeds the configured work limits."""
 
 
-@dataclass(frozen=True)
-class Caps:
+class Caps(NamedTuple):
     group_order: int = 50_000
     orbit_work: int = 100_000_000
     projector_dim: int = 1024

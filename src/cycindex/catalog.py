@@ -7,8 +7,6 @@ verify-basis, orbits.
 
 from __future__ import annotations
 
-import json
-
 from .caps import Caps, DEFAULT_CAPS
 from .characters import enumerate_linear_characters
 from .grammar import parse_group
@@ -60,6 +58,7 @@ def default_catalog(caps: Caps = DEFAULT_CAPS) -> list[dict]:
 
 
 def load_catalog(path: str) -> list[dict]:
+    import json
     with open(path, "r", encoding="utf-8") as fh:
         try:
             data = json.load(fh)

@@ -6,10 +6,8 @@ Exit codes: 0 success/verified, 1 verification mismatch, 2 usage error,
 
 from __future__ import annotations
 
-import argparse
-import json
 import sys
-from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 from .caps import DEFAULT_CAPS, CapExceeded, Caps, caps_from_env
 from .catalog import default_catalog, load_catalog
@@ -27,8 +25,7 @@ EXIT_USAGE = 2
 EXIT_CAP = 3
 
 
-@dataclass
-class JobSpec:
+class JobSpec(NamedTuple):
     command: str
     group_expr: str = ""
     char_sel: str = "unit"
@@ -48,6 +45,11 @@ class JobSpec:
         if self.n is not None:
             bits.append(f"n={self.n}")
         return " ".join(bits)
+
+
+def _json_text(payload, sort_keys: bool = True) -> str:
+    import json  # loaded by the first JSON job, not by ``import cycindex``
+    return json.dumps(payload, indent=2, sort_keys=sort_keys) + "\n"
 
 
 def _tampered(chi: LinearCharacter) -> LinearCharacter:
@@ -88,12 +90,12 @@ def _dispatch(spec: JobSpec) -> tuple[int, str]:
     chi = parse_character(spec.char_sel, group_spec, caps=spec.caps)
     if spec.command == "cycle-index":
         Z = cycle_index(group_spec.group, chi)
-        body = json.dumps(Z.to_json(), indent=2) if spec.fmt == "json" else Z.render_text()
-        return EXIT_OK, body + "\n"
+        return EXIT_OK, (_json_text(Z.to_json(), sort_keys=False) if spec.fmt == "json"
+                         else Z.render_text() + "\n")
     if spec.command == "gn":
         g = weighted_sum_g(group_spec.group, chi, _need_n(spec), caps=spec.caps)
-        body = json.dumps(g.to_json(), indent=2) if spec.fmt == "json" else g.render_text()
-        return EXIT_OK, body + "\n"
+        return EXIT_OK, (_json_text(g.to_json(), sort_keys=False) if spec.fmt == "json"
+                         else g.render_text() + "\n")
     if spec.command == "orbits":
         table = full_census(group_spec.group, chi, _need_n(spec), caps=spec.caps)
         return EXIT_OK, census_json(table) if spec.fmt == "json" else census_tsv(table)
@@ -102,8 +104,7 @@ def _dispatch(spec: JobSpec) -> tuple[int, str]:
     if spec.command == "verify-basis":
         module = MonomialModule(group_spec.group, _need_n(spec), caps=spec.caps)
         report = verify_basis_prop(module, chi)
-        body = json.dumps(report.to_json(), indent=2, sort_keys=True) + "\n"
-        return (EXIT_OK if report.ok else EXIT_MISMATCH), body
+        return (EXIT_OK if report.ok else EXIT_MISMATCH), _json_text(report.to_json())
     if spec.command == "verify-product":
         return _run_product(spec, group_spec, chi)
     if spec.command == "verify-plethysm":
@@ -143,7 +144,7 @@ def _run_characters(spec: JobSpec, group_spec: GroupSpec) -> tuple[int, str]:
                 for k, chi in enumerate(chars)
             ],
         }
-        return EXIT_OK, json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        return EXIT_OK, _json_text(payload)
     lines = [f"group {group_spec.text}: order {G.order}, "
              f"{len(chars)} linear character(s), values in Q(zeta_{chars[0].order_m})"]
     for k, chi in enumerate(chars):
@@ -163,8 +164,7 @@ def _run_verify(spec: JobSpec, group_spec: GroupSpec,
     if spec.fmt == "json":
         payload = {"group": group_spec.text, "char": spec.char_sel, "n": n,
                    "equal": equal, "lhs": lhs.to_json(), "rhs": rhs.to_json()}
-        return (EXIT_OK if equal else EXIT_MISMATCH,
-                json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        return (EXIT_OK if equal else EXIT_MISMATCH), _json_text(payload)
     if equal:
         return EXIT_OK, (lhs.render_text() or "0") + "\n"
     return EXIT_MISMATCH, (f"MISMATCH for group={group_spec.text} char={spec.char_sel} n={n}\n"
@@ -262,20 +262,21 @@ def run_suite(jobs: list[dict], caps: Caps, fmt: str = "text") -> tuple[int, str
     passed = sum(1 for s in summary if s["status"] == "ok")
     lines.append(f"suite: {passed}/{len(summary)} jobs passed")
     if fmt == "json":
-        body = json.dumps({"jobs": summary, "passed": passed,
-                           "total": len(summary)}, indent=2) + "\n"
+        body = _json_text({"jobs": summary, "passed": passed, "total": len(summary)},
+                          sort_keys=False)
     else:
         body = "\n".join(lines) + "\n"
     return worst, body
 
 
 def build_parser() -> argparse.ArgumentParser:
+    import argparse  # only ``main`` parses arguments; ``import cycindex`` skips it
     parser = argparse.ArgumentParser(
         prog="cycindex",
         description="Exact generalized cycle indices and their brute-force verification.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, need_n=False, pair=False):
+    def common(p, need_n=False, pair=False, formats=("text", "json")):
         p.add_argument("--group", required=True, help="group expression, e.g. S(3)")
         p.add_argument("--char", default="unit",
                        help="character selector: unit, sign, index:k, vals{...}")
@@ -284,14 +285,14 @@ def build_parser() -> argparse.ArgumentParser:
         if pair:
             p.add_argument("--group2", required=True)
             p.add_argument("--char2", default="unit")
-        p.add_argument("--format", dest="fmt", choices=("text", "json", "tsv"),
-                       default="text")
+        p.add_argument("--format", dest="fmt", choices=formats, default="text")
         p.add_argument("--cap", type=int, default=None,
                        help="override the work cap")
 
     common(sub.add_parser("characters", help="list the linear characters"))
     common(sub.add_parser("cycle-index", help="print the generalized cycle index"))
-    common(sub.add_parser("orbits", help="orbit census on [0,n]^d"), need_n=True)
+    common(sub.add_parser("orbits", help="orbit census on [0,n]^d"), need_n=True,
+           formats=("text", "json", "tsv"))
     common(sub.add_parser("gn", help="weighted orbit polynomial g_n"), need_n=True)
     common(sub.add_parser("verify", help="compare g_n with the specialized cycle index"),
            need_n=True)
@@ -318,7 +319,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.cap < 0:
             sys.stdout.write(f"usage error: --cap must be a nonnegative integer, got {args.cap}\n")
             return EXIT_USAGE
-        caps = replace(caps, orbit_work=args.cap)
+        caps = caps._replace(orbit_work=args.cap)
     if args.command == "suite":
         try:
             jobs = default_catalog(caps=caps) if args.catalog is None \

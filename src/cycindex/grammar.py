@@ -8,6 +8,7 @@ Character selectors: ``unit``, ``sign``, ``index:k``, ``vals{(1 2):1,...}``.
 from __future__ import annotations
 
 import re
+from typing import NamedTuple
 
 from .caps import Caps, CapExceeded, DEFAULT_CAPS
 from .characters import (LinearCharacter, enumerate_linear_characters,
@@ -21,15 +22,13 @@ class SpecError(ValueError):
     """Invalid group expression or character selector."""
 
 
-class GroupSpec:
+class GroupSpec(NamedTuple):
     """A parsed group expression; keeps the source text for round-tripping."""
 
-    def __init__(self, text: str, group: PermGroup,
-                 parts: tuple["GroupSpec", ...] = (), kind: str = "atom"):
-        self.text = text
-        self.group = group
-        self.parts = parts
-        self.kind = kind  # atom | product | wreath
+    text: str
+    group: PermGroup
+    parts: tuple[GroupSpec, ...] = ()
+    kind: str = "atom"  # atom | product | wreath
 
 
 def _split_top_level(body: str) -> list[str]:

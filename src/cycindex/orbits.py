@@ -20,10 +20,9 @@ builds one record per orbit with every field set.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
 from itertools import compress, count, product
 from operator import itemgetter
+from typing import NamedTuple
 
 from .caps import Caps, CapExceeded, DEFAULT_CAPS
 from .characters import LinearCharacter, kernel
@@ -45,22 +44,30 @@ def _row_getters(W: PermGroup) -> list:
     return [itemgetter(*row) if len(row) > 1 else tuple for row in action_table(W)]
 
 
-@dataclass(slots=True)
 class OrbitRecord:
-    rep: Point
-    size: int
-    stabilizer: tuple[int, ...]  # indices, in W's element order, of the elements fixing rep
-    is_chi_orbit: bool | None = None
-    tau_H: int | None = None
-    h_orbit_length: int | None = None
+    """One W-orbit: its least point, its size and ``stabilizer``, the indices, in
+    W's element order, of the elements fixing rep.  Only ``full_census`` sets the
+    chi flag, tau_H and the H-orbit length.  A plain class with slots, not a named
+    tuple: one is built per orbit, and a tuple subclass builds half again slower."""
+
+    __slots__ = ("rep", "size", "stabilizer", "is_chi_orbit", "tau_H", "h_orbit_length")
+
+    def __init__(self, rep: Point, size: int, stabilizer: tuple[int, ...],
+                 is_chi_orbit: bool | None = None, tau_H: int | None = None,
+                 h_orbit_length: int | None = None):
+        self.rep = rep
+        self.size = size
+        self.stabilizer = stabilizer
+        self.is_chi_orbit = is_chi_orbit
+        self.tau_H = tau_H
+        self.h_orbit_length = h_orbit_length
 
     @property
     def stabilizer_order(self) -> int:
         return len(self.stabilizer)
 
 
-@dataclass
-class OrbitTable:
+class OrbitTable(NamedTuple):
     group: PermGroup
     n: int
     records: tuple[OrbitRecord, ...]
@@ -209,6 +216,7 @@ def census_tsv(table: OrbitTable) -> str:
 
 
 def census_json(table: OrbitTable) -> str:
+    import json  # loaded only where JSON is written, to keep the package import short
     payload = {
         "degree": table.degree,
         "n": table.n,

@@ -30,8 +30,8 @@ is eliminated over its representative columns and the unproven steps' columns.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, fields
 from math import lcm
+from typing import NamedTuple
 
 from .caps import Caps, CapExceeded, DEFAULT_CAPS
 from .characters import LinearCharacter, enumerate_linear_characters
@@ -311,8 +311,7 @@ def check_annihilation(M: MonomialModule, A: SparseMatrix,
     return True
 
 
-@dataclass(frozen=True)
-class BasisReport:
+class BasisReport(NamedTuple):
     group_order: int
     n: int
     d: int
@@ -327,8 +326,7 @@ class BasisReport:
     ok: bool
 
     def to_json(self):
-        return {**{f.name: getattr(self, f.name) for f in fields(self)},
-                "trace": self.trace.to_json()}
+        return {**self._asdict(), "trace": self.trace.to_json()}
 
 
 def verify_basis_prop(M: MonomialModule, alpha: LinearCharacter) -> BasisReport:

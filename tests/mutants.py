@@ -79,6 +79,10 @@ MUTANTS = (
            "str(rec.is_chi_orbit).lower(),",
            "str(rec.is_chi_orbit),",
            "tests/test_pins.py"),
+    Mutant("caps-imports-dataclasses", "caps.py",
+           "import os\n",
+           "import os\nfrom dataclasses import dataclass\n",
+           "tests/test_startup.py"),
 )
 
 

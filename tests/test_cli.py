@@ -313,6 +313,26 @@ class TestMain:
         data = json.loads(capsys.readouterr().out)
         assert data["weight"] == 3
 
+    @pytest.mark.parametrize("argv", [
+        ["characters", "--group", "S(3)"],
+        ["cycle-index", "--group", "S(3)"],
+        ["gn", "--group", "S(3)", "--n", "1"],
+        ["verify", "--group", "S(3)", "--n", "1"],
+        ["verify-product", "--group", "S(2)", "--group2", "S(2)"],
+        ["verify-plethysm", "--group", "S(2)", "--group2", "S(2)"],
+        ["verify-basis", "--group", "S(3)", "--n", "1"],
+        ["suite"],
+    ])
+    def test_tsv_format_is_refused_outside_orbits(self, capsys, argv):
+        with pytest.raises(SystemExit) as stop:
+            main([*argv, "--format", "tsv"])
+        assert stop.value.code == EXIT_USAGE
+        assert capsys.readouterr().out == ""
+
+    def test_tsv_format_is_accepted_on_orbits(self, capsys):
+        assert main(["orbits", "--group", "S(3)", "--n", "1", "--format", "tsv"]) == EXIT_OK
+        assert capsys.readouterr().out.startswith("rep\tsize\t")
+
 
 class TestFailClosed:
     @pytest.mark.parametrize("argv", [

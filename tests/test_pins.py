@@ -12,7 +12,7 @@ gone, fails ``test_every_stored_key_has_a_pin``.
 Many jobs are pinned as the SHA-256 of their exit codes and stdouts, each job
 as ``f"{code}\\n{stdout}"``, joined in order, with the number of jobs.  A job
 of the default catalog runs as ``cli.run(cli.job_spec(job))``, the spec
-``cli.run_suite`` builds for it, with ``dataclasses.replace`` for ``tamper``
+``cli.run_suite`` builds for it, with ``JobSpec._replace`` for ``tamper``
 and ``fmt``.  A command line runs ``cli.main`` as ``tests/pin_output.py``
 records it, with the ``CYCINDEX_*_CAP`` variables removed.
 
@@ -24,7 +24,6 @@ a pin to make a test pass.
 import hashlib
 import json
 import random
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -102,9 +101,9 @@ def tampered_verify(stored: dict) -> dict:
     """
     sample = stored["sample"]
     job = {"command": "verify", **{key: sample[key] for key in ("group", "char", "n")}}
-    code, out = run(replace(job_spec(job), tamper=True))
+    code, out = run(job_spec(job)._replace(tamper=True))
     assert "z3" in out
-    specs = [replace(spec, tamper=True)
+    specs = [spec._replace(tamper=True)
              for spec in catalog_specs(lambda command: command == "verify")]
     return {**counted(specs), "sample": {**sample, "exit": code, "stdout": out}}
 
@@ -114,7 +113,7 @@ def verify_json(_stored: dict) -> dict:
     listed and then with ``tamper=True``: the JSON form of every coefficient,
     rational or not (some output carries a ``"conductor"`` key)."""
     specs = catalog_specs(lambda command: command == "verify")
-    results = [run(replace(spec, fmt="json", tamper=tamper))
+    results = [run(spec._replace(fmt="json", tamper=tamper))
                for tamper in (False, True) for spec in specs]
     assert any('"conductor"' in out for _, out in results)
     return {"jobs": len(specs), "sha256": sha256(joined(results))}
@@ -146,7 +145,7 @@ def orbits_census(_stored: dict) -> dict:
                 if (n + 1) ** G.degree <= MAIN_POINT_CAP:
                     spec = job_spec({"command": "orbits", "group": expr,
                                      "char": f"index:{k}", "n": n})
-                    specs += [replace(spec, fmt=fmt) for fmt in ("text", "json")]
+                    specs += [spec._replace(fmt=fmt) for fmt in ("text", "json")]
     return counted(specs)
 
 
